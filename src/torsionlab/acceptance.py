@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-__all__ = ["CRITERIA", "run_criterion", "run_all"]
+__all__ = ["CRITERIA", "run_all"]
 
 
 def _timed(budget):
@@ -348,10 +348,6 @@ CRITERIA = [
     criterion_9_mayer_vietoris_ranks,
     criterion_10_property_suites,
 ]
-
-
-def run_criterion(fn):
-    return fn()
 
 
 def run_all(printer=print, timing_printer=None):

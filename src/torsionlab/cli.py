@@ -61,16 +61,6 @@ SCHEMAS = {
 }
 
 
-def _cos2(a):
-    import numpy as np
-
-    return (
-        lambda s: a * np.cos(2 * s),
-        lambda s: -2 * a * np.sin(2 * s),
-        lambda s: -4 * a * np.cos(2 * s),
-    )
-
-
 def _floats(csv_str):
     return [float(x) for x in str(csv_str).split(",") if x.strip()]
 
@@ -130,6 +120,7 @@ def run_birth_death(p):
 def run_witten_glue(p):
     import numpy as np
 
+    from .acceptance import _cos2
     from .witten1d import (assemble, build_p_profile, circle_problem,
                            gluing_scan, spectrum)
 
@@ -184,6 +175,7 @@ def run_witten_glue(p):
 def run_small_eig(p):
     import numpy as np
 
+    from .acceptance import _cos2
     from .witten1d import small_eigenvalue_scan
 
     ladder = list(np.arange(p["T_min"], p["T_max"] + 0.5 * p["T_step"], p["T_step"]))
@@ -196,6 +188,7 @@ def run_small_eig(p):
 
 
 def run_agmon(p):
+    from .acceptance import _cos2
     from .witten1d import agmon_decay_check
 
     ladder = _floats(p["T_list"])
@@ -282,7 +275,7 @@ def parse_config(experiment, file_path=None, overrides=()):
     for k, v in pairs:
         if k.startswith(experiment + "."):
             k = k[len(experiment) + 1 :]
-        if k in ("seed", "output_dir"):
+        if k == "output_dir":
             continue
         if k not in schema:
             raise ConfigError(f"unknown key '{k}' for experiment '{experiment}'")
@@ -318,10 +311,17 @@ def cmd_run(args):
     t0 = time.perf_counter()
     try:
         rows, header, extra = RUNNERS[args.experiment](params)
-    except (ConfigError, ValueError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # numerical failure
+    except Exception as exc:
+        import numpy as np
+
+        from .graded import IndeterminateKernelError
+
+        # LinAlgError and IndeterminateKernelError subclass ValueError but
+        # report numerical failures, not invalid parameters
+        numerical = (np.linalg.LinAlgError, IndeterminateKernelError)
+        if isinstance(exc, ValueError) and not isinstance(exc, numerical):
+            print(f"validation error: {exc}", file=sys.stderr)
+            return 2
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     spectra = extra.pop("_spectra", None)
@@ -330,7 +330,6 @@ def cmd_run(args):
     config_record = {
         "experiment": args.experiment,
         "parameters": {k: params[k] for k in sorted(params)},
-        "seed": args.seed,
     }
     digest = hashlib.sha256(
         json.dumps(config_record, sort_keys=True).encode()
@@ -383,7 +382,6 @@ def main(argv=None):
     runp.add_argument("--set", action="append", metavar="KEY=VALUE",
                       help="override a parameter (repeatable)")
     runp.add_argument("--output-dir", default="torsion_lab_out")
-    runp.add_argument("--seed", type=int, default=0)
     runp.set_defaults(func=cmd_run)
     ver = sub.add_parser("verify-all", help="run the acceptance suite")
     ver.set_defaults(func=cmd_verify_all)

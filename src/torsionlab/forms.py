@@ -35,16 +35,23 @@ __all__ = [
     "grr_residual",
 ]
 
-SQRT_2PI_I = np.sqrt(2j * np.pi)
-
-
 class TailNotConvergedError(RuntimeError):
     """Torsion-form integrand has not decayed at the upper cutoff."""
 
 
 @dataclass
 class FormOnBase:
-    """Mixed-degree form on the discretized circle (degrees 0 and 1 only)."""
+    """Mixed-degree form on the discretized circle (degrees 0 and 1 only).
+
+    Only the degree that can be nonzero is computed; the other field holds
+    zeros. X0 = (t v* - v)/2 is odd and the connection term sigma W is
+    even, so Dh'(X0)[sigma W] is a sum of terms X0^a (sigma W) X0^b with
+    a + b odd. Each shifts degree, so its block diagonal, and with it every
+    trace against a grading-preserving matrix, is exactly zero; the same
+    holds for h(X0), an odd series in X0. On a circle base the torsion form
+    and the transgression thus live in degree 0 and the h-form in degree 1
+    (Bismut-Lott 1995).
+    """
 
     degree0: np.ndarray
     degree1: np.ndarray
@@ -120,15 +127,6 @@ class SuperconnectionFamily:
             p = t @ p
         return p
 
-    # -- canonical per-degree helpers -----------------------------------
-    def degree_weight_matrix(self, shift=0.0):
-        """Diagonal matrix of (k - shift) on the degree-k block."""
-        w = self.fibers[0].degree_weights() - shift
-        return np.diag(w.astype(complex))
-
-    def sign_matrix(self):
-        return np.diag(self.fibers[0].sign_weights().astype(complex))
-
 
 def constant_family(fiber: GradedComplex, m: int, transport=None):
     """Family with m copies of one fiber and a fixed transport."""
@@ -157,32 +155,9 @@ def _h_prime_mat(x):
     return (np.eye(len(x)) + 2.0 * x2) @ scipy.linalg.expm(x2)
 
 
-def _h_prime_frechet(x, y):
-    """Directional derivative of _h_prime_mat at X in direction Y."""
-    x2 = x @ x
-    s = x @ y + y @ x
-    e, f = scipy.linalg.expm_frechet(x2, s)
-    return 2.0 * s @ e + (np.eye(len(x)) + 2.0 * x2) @ f
-
-
 # ---------------------------------------------------------------------------
 # per-sample and per-edge geometry
 # ---------------------------------------------------------------------------
-
-def _metric_full(fiber, t_scale, weights):
-    g = fiber.full_metric()
-    if t_scale is not None:
-        g = np.diag(np.power(float(t_scale), weights)) @ g
-    return g
-
-
-def _x0(fiber, t=1.0, g_full=None):
-    """Degree-0 part (t v* - v)/2 of X for the given full Gram matrix."""
-    v = fiber.full_differential()
-    g = fiber.full_metric() if g_full is None else g_full
-    vstar = np.linalg.solve(g, v.conj().T @ g)
-    return 0.5 * (t * vstar - v)
-
 
 def adjoint_superconnection(fam: SuperconnectionFamily):
     """Adjoint data: per-sample v*, adjoint transports, per-edge X pieces.
@@ -243,26 +218,17 @@ def _edge_data(fam: SuperconnectionFamily, j, t_scale=None):
 def h_form(fam: SuperconnectionFamily, t_scale=None):
     """Characteristic form of the family for the (optionally rescaled) metric.
 
-    degree0[j] = sqrt(2 pi i) Tr_s h(X0(j)) -- identically zero because X0
-    is odd and h is an odd function; kept as an honest computation.
-    degree1[j] = Tr_s[W h'(X0)] at the midpoint of edge j.
+    degree1[j] = Tr_s[W h'(X0)] at the midpoint of edge j; degree0 is zero
+    because h is odd and X0 is odd (see FormOnBase).
     """
     m = fam.n_samples
     sign = fam.fibers[0].sign_weights()
-    deg0 = np.zeros(m, dtype=complex)
     deg1 = np.zeros(m, dtype=complex)
-    n = fam.fibers[0].top_degree
-    weights = fam.fibers[0].degree_weights() - 0.5 * n
     for j in range(m):
-        fib = fam.fibers[j]
-        g = _metric_full(fib, t_scale, weights)
-        x0 = _x0(fib, t=1.0, g_full=g)
-        hx = x0 @ scipy.linalg.expm(x0 @ x0)
-        deg0[j] = SQRT_2PI_I * np.sum(sign * np.diag(hx))
         g_mid, v, w = _edge_data(fam, j, t_scale=t_scale)
         x0_mid = 0.5 * (np.linalg.solve(g_mid, v.conj().T @ g_mid) - v)
         deg1[j] = np.sum(sign * np.diag(w @ _h_prime_mat(x0_mid)))
-    return FormOnBase(deg0, deg1)
+    return FormOnBase(np.zeros(m, dtype=complex), deg1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +242,9 @@ def transgression(fam: SuperconnectionFamily, metric_path, n_l=33):
     sharing the path shape: it is called as metric_path(l, j) for sample j.
     The derivative in l is taken by centered differences with step 1e-6
     unless metric_path has a 'derivative' attribute (called the same way).
-    degree0[j] = int_0^1 Tr_s[(1/2) G^{-1} dG/dl h'(X0_l)] dl and
-    degree1[j] adds the mixed dl-dtheta component via the directional
-    derivative of h'.
+    degree0[j] = int_0^1 Tr_s[(1/2) G^{-1} dG/dl h'(X0_l)] dl; degree1, the
+    mixed dl-dtheta component Tr[c Dh'(X0)[sigma W]], is zero by parity
+    (see FormOnBase).
     """
     if n_l < 16:
         raise ValueError("need at least 16 points along the path")
@@ -312,31 +278,15 @@ def transgression(fam: SuperconnectionFamily, metric_path, n_l=33):
         return (metrics_at(l1, j) - metrics_at(l0, j)) / (l1 - l0)
 
     deg0 = np.zeros(m, dtype=complex)
-    deg1 = np.zeros(m, dtype=complex)
     for j in range(m):
         v = fam.fibers[j].full_differential()
-        p = fam.transports[j]
-        v_next = fam.fibers[(j + 1) % m].full_differential()
         for li, l in enumerate(ls):
             g = metrics_at(l, j)
             gdot = dmetrics_at(l, j)
             c = 0.5 * np.linalg.solve(g, gdot)
             x0 = 0.5 * (np.linalg.solve(g, v.conj().T @ g) - v)
             deg0[j] += simp[li] * np.sum(sign * np.diag(c @ _h_prime_mat(x0)))
-            # mixed component at the edge midpoint
-            g1 = metrics_at(l, (j + 1) % m)
-            g1dot = dmetrics_at(l, (j + 1) % m)
-            g_par = p.conj().T @ g1 @ p
-            g_par_dot = p.conj().T @ g1dot @ p
-            g_mid = 0.5 * (g + g_par)
-            c_mid = 0.5 * np.linalg.solve(g_mid, 0.5 * (gdot + g_par_dot))
-            w = np.linalg.solve(g_mid, (g_par - g) / (2.0 * fam.dtheta))
-            x0_mid = 0.5 * (np.linalg.solve(g_mid, v.conj().T @ g_mid) - v)
-            sigma = fam.fibers[0].sign_weights()
-            sw = sigma[:, None] * w
-            frech = _h_prime_frechet(x0_mid, sw)
-            deg1[j] += simp[li] * np.trace(c_mid @ frech)
-    return FormOnBase(deg0, deg1)
+    return FormOnBase(deg0, np.zeros(m, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -359,15 +309,14 @@ def torsion_form_TL(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200,
     [tau, t_max]; the metric family is the canonical rescaling
     t^{N - n/2} G. The integrand must have decayed below tail_tol at t_max
     (its chi'(H)/2t parts cancel by construction), otherwise
-    TailNotConvergedError is raised.
+    TailNotConvergedError is raised. The degree-1 part, an integral of
+    Tr[(N - n/2) Dh'(X0_t)[sigma W]], is zero by parity (see FormOnBase).
     """
     if not (0.0 < tau < t_max):
         raise ValueError("need 0 < tau < t_max")
     m = fam.n_samples
     n = fam.fibers[0].top_degree
     e, eh = _family_euler(fam)
-    sign = fam.fibers[0].sign_weights()
-    kvec = fam.fibers[0].degree_weights() - 0.5 * n
     ts = np.geomspace(tau, t_max, n_t)
 
     # spectral part of the degree-0 integrand, per sample
@@ -388,27 +337,14 @@ def torsion_form_TL(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200,
         )
         deg0_int[j] = (-acc + counter) / (2.0 * ts)
 
-    # degree-1 integrand per edge: -Tr[(N - n/2)/(2t) Dh'(X0_t)[sigma W]]
-    sigma = np.diag(sign.astype(complex))
-    deg1_int = np.zeros((m, n_t), dtype=complex)
-    for j in range(m):
-        g_mid, v, w = _edge_data(fam, j)
-        sw = sigma @ w
-        vstar_mid = np.linalg.solve(g_mid, v.conj().T @ g_mid)
-        for ti, t in enumerate(ts):
-            x0t = 0.5 * (t * vstar_mid - v)
-            frech = _h_prime_frechet(x0t, sw)
-            deg1_int[j, ti] = -np.sum(kvec * np.diag(frech)) / (2.0 * t)
-
-    tail = max(np.abs(deg0_int[:, -1]).max(), np.abs(deg1_int[:, -1]).max())
+    tail = np.abs(deg0_int[:, -1]).max()
     if tail > tail_tol:
         raise TailNotConvergedError(
             f"integrand at t_max={t_max} is {tail:.3e}; increase t_max"
         )
     log_w = _trapezoid_weights_log(ts)
     deg0 = (deg0_int * (log_w * ts)[None, :]).sum(axis=1)
-    deg1 = (deg1_int * (log_w * ts)[None, :]).sum(axis=1)
-    return FormOnBase(deg0.astype(complex), deg1)
+    return FormOnBase(deg0.astype(complex), np.zeros(m, dtype=complex))
 
 
 def _trapezoid_weights_log(ts):

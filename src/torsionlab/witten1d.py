@@ -51,7 +51,8 @@ class InterfaceProfile:
     """Odd interface deformation profile p_A on [-2r, 2r].
 
     shape holds p_{A=1} on [0, 2r]; p_A(s) = A sign(s) shape(|s|). The
-    derivative window [C1 A, 2 C1 A] is certified on [0, 0.02 r].
+    derivative window [C1 A, 2 C1 A] is certified on [0, 0.02 r]; C2 and
+    max_slope bound |shape''| and |shape'| on [0, r].
     """
 
     shape: PiecewisePoly
@@ -59,6 +60,7 @@ class InterfaceProfile:
     A: float
     C1: float
     C2: float
+    max_slope: float
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
@@ -103,8 +105,8 @@ def build_p_profile(A, r, verify=True):
     c1 = float(dv.min())
     full = np.linspace(0.0, r, 4001)
     c2 = float(np.abs(shape._horner(full, 2)).max())
-    prof = InterfaceProfile(shape=shape, r=r, A=float(A), C1=c1, C2=c2)
-    prof.max_slope = float(np.abs(shape._horner(full, 1)).max())
+    prof = InterfaceProfile(shape=shape, r=r, A=float(A), C1=c1, C2=c2,
+                            max_slope=float(np.abs(shape._horner(full, 1)).max()))
     if verify:
         if dv.max() > 2.0 * c1 + 1e-9 * r:
             raise ValueError(
@@ -185,7 +187,7 @@ def circle_problem(f_triple, T, n_nodes=None, A=0.0, interface=None,
     fp_max = np.abs(fp(probe)).max()
     if interface is not None:
         cuts, r, prof = interface
-        fp_max += prof.A * getattr(prof, "max_slope", prof.r)
+        fp_max += prof.A * prof.max_slope
     if n_nodes is None:
         h_max = 0.1 / (T * fp_max + 1.0)
         n_nodes = int(np.ceil(2 * np.pi / h_max * oversample))
@@ -662,18 +664,8 @@ def cubic_model_eigs(T, k, n_nodes=2000, form_degree=0):
         raise ValueError("need T >= 1")
     ell = T ** (-1.0 / 3.0)
     s = np.linspace(-ell, ell, n_nodes)
-    fp = s**2
-    fpp = 2.0 * s
-    # bypass the resolution guard: the rescaled operator is tame by design
-    prob = WittenProblem1D.__new__(WittenProblem1D)
-    prob.topology = "interval"
-    prob.nodes = s
-    prob.fp = fp
-    prob.fpp = fpp
-    prob.T = float(T)
-    prob.A = 0.0
-    prob.bc = "absolute"
-    prob.form_degree = form_degree
+    prob = WittenProblem1D("interval", s, s**2, 2.0 * s, float(T), bc="absolute",
+                           form_degree=form_degree)
     mat = assemble(prob).toarray()
     w = scipy.linalg.eigh(mat, eigvals_only=True)
     return w[:k]

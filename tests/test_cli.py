@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from torsionlab import cli
+from torsionlab.graded import IndeterminateKernelError
 
 
 def run_cli(args):
@@ -121,3 +122,15 @@ def test_numerical_failure_exits_3(tmp_path):
     code = run_cli(["run", "anomaly", "--m", "16", "--t_max", "5",
                     "--output-dir", str(out)])
     assert code == 3
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError, IndeterminateKernelError])
+def test_linear_algebra_failure_exits_3(tmp_path, monkeypatch, error):
+    # these subclass ValueError, yet they are numerical failures
+    def failing_runner(params):
+        raise error("singular matrix")
+
+    monkeypatch.setitem(cli.RUNNERS, "torsion", failing_runner)
+    out = tmp_path / "la"
+    assert run_cli(["run", "torsion", "--output-dir", str(out)]) == 3
+    assert not out.exists()

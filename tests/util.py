@@ -51,41 +51,6 @@ def random_complex(rng, n_deg=3, max_piece=2, acyclic=False, identity_metrics=Fa
     return GradedComplex(tuple(ranks), diffs, metrics)
 
 
-def anomaly_family(m, beta=0.3, amp=0.15):
-    """Acyclic rank-(1, 2, 1) family over the circle with nontrivial unitary
-    holonomy exp(2 pi i beta) and base-varying metrics; flat by construction.
-    """
-    d0 = np.array([[1.0], [1.0]], dtype=complex) * 0.9
-    d1 = np.array([[1.0, -1.0]], dtype=complex) * 1.1
-    gen = np.zeros((4, 4), dtype=complex)
-    gen[0, 0] = 1j * (beta - 1)
-    gen[1:3, 1:3] = 1j * beta * np.eye(2) + 1j * np.array([[0, 1], [1, 0]])
-    gen[3, 3] = 1j * (beta + 1)
-
-    def rot(th):
-        return scipy.linalg.expm(th * gen)
-
-    fibers, transports = [], []
-    dth = 2 * np.pi / m
-    v0 = np.zeros((4, 4), dtype=complex)
-    v0[1:3, 0:1] = d0
-    v0[3:4, 1:3] = d1
-    for j in range(m):
-        th = j * dth
-        u = rot(th)
-        v = u @ v0 @ np.linalg.inv(u)
-        g0 = np.array([[1.0 + amp * np.cos(th)]], dtype=complex)
-        a = amp * np.sin(th)
-        bb = amp * np.cos(2 * th)
-        g1 = np.eye(2, dtype=complex) + np.array(
-            [[a, 0.3 * bb], [0.3 * bb, -0.5 * a]], dtype=complex
-        )
-        g2 = np.array([[1.0 + amp * np.sin(2 * th)]], dtype=complex)
-        fibers.append(GradedComplex((1, 2, 1), [v[1:3, 0:1], v[3:4, 1:3]], [g0, g1, g2]))
-        transports.append(rot(th + dth) @ np.linalg.inv(u))
-    return SuperconnectionFamily(fibers, transports)
-
-
 def random_flat_family(rng, m=16):
     """Random flat family: a random acyclic-ish fiber conjugated around the
     circle by exp(theta K) with exp(2 pi K) commuting with v (K built from
