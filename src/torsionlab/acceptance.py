@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-__all__ = ["CRITERIA", "run_all"]
+__all__ = ["CRITERIA", "run_all", "random_complex"]
 
 
 def _timed(budget):
@@ -248,7 +248,7 @@ def criterion_10_property_suites():
     rng = np.random.default_rng(2718)
     count = 0
     while count < 200:
-        c = _random_complex(rng)
+        c = random_complex(rng, identity_metrics=True)
         if c.total_rank == 0:
             continue
         for k in range(len(c.diffs) - 1):
@@ -309,12 +309,23 @@ def criterion_10_property_suites():
     return True, "; ".join(details)
 
 
-def _random_complex(rng):
+def random_metric(rng, r, spread=0.5):
+    """Random Hermitian positive Gram matrix of rank r."""
+    if r == 0:
+        return np.zeros((0, 0), dtype=complex)
+    a = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    return (spread * a) @ (spread * a).conj().T + np.eye(r, dtype=complex)
+
+
+def random_complex(rng, n_deg=3, max_piece=2, acyclic=False, identity_metrics=False):
+    """Random complex with exact d^2 = 0 via a split model conjugated by
+    random invertibles. Dims per degree: boundaries + harmonics + coboundaries.
+    Shared by the property criterion and the test suite.
+    """
     from .graded import GradedComplex
 
-    n_deg = 3
-    h = [int(rng.integers(0, 3)) for _ in range(n_deg)]
-    c = [int(rng.integers(0, 3)) for _ in range(n_deg - 1)]
+    h = [0 if acyclic else int(rng.integers(0, max_piece + 1)) for _ in range(n_deg)]
+    c = [int(rng.integers(0, max_piece + 1)) for _ in range(n_deg - 1)]  # c[k] maps iso to b[k+1]
     if sum(h) + sum(c) == 0:
         c[0] = 1
     b = [0] + list(c)
@@ -325,6 +336,7 @@ def _random_complex(rng):
         for i in range(c[k]):
             d[i, b[k] + h[k] + i] = 0.5 + 2.0 * rng.random()
         diffs.append(d)
+    # conjugate by random invertibles per degree
     basis = []
     for r in ranks:
         t = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)) + 3.0 * np.eye(r)
@@ -333,7 +345,11 @@ def _random_complex(rng):
         (basis[k + 1] @ d @ np.linalg.inv(basis[k])) if d.size else d
         for k, d in enumerate(diffs)
     ]
-    return GradedComplex(tuple(ranks), diffs)
+    if identity_metrics:
+        metrics = [np.eye(r, dtype=complex) for r in ranks]
+    else:
+        metrics = [random_metric(rng, r) for r in ranks]
+    return GradedComplex(tuple(ranks), diffs, metrics)
 
 
 CRITERIA = [

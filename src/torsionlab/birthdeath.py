@@ -10,6 +10,8 @@ bands the census argument uses.
 
 from __future__ import annotations
 
+import bisect
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -78,18 +80,28 @@ class ModelParams:
 
 
 class PiecewisePoly:
-    """C^2 piecewise polynomial on [0, inf), constant beyond the last knot."""
+    """C^2 piecewise polynomial on [0, inf), constant beyond the last knot.
+
+    coeffs[i] are monomial coefficients in (s - knots[i]) on
+    [knots[i], knots[i+1]); the last piece extends to infinity. tables[k]
+    holds the k-th derivative (k = 0, 1, 2) of every piece as one read-only
+    (n_pieces, max_degree + 1) array of coefficients, lowest power first,
+    zero-padded in the high powers; every evaluation reads these tables.
+    """
 
     def __init__(self, knots, coeffs):
-        # coeffs[i] are monomial coefficients in (s - knots[i]) on
-        # [knots[i], knots[i+1]); the last piece extends to infinity
-        self.knots = [float(k) for k in knots]
-        self.coeffs = [np.asarray(c, dtype=float) for c in coeffs]
-        self._clists = [list(map(float, c)) for c in self.coeffs]
-
-    def _piece(self, s):
-        idx = np.searchsorted(self.knots, s, side="right") - 1
-        return int(np.clip(idx, 0, len(self.coeffs) - 1))
+        self.knots = tuple(float(k) for k in knots)
+        self.coeffs = tuple(_read_only(np.array(c, dtype=float)) for c in coeffs)
+        width = max(len(c) for c in self.coeffs)
+        tables = []
+        for order in range(3):
+            table = np.zeros((len(self.coeffs), width))
+            for i, c in enumerate(self.coeffs):
+                fac = [math.perm(p, order) for p in range(order, len(c))]
+                table[i, : len(fac)] = np.multiply(fac, c[order:])
+            tables.append(_read_only(table))
+        self.tables = tuple(tables)
+        self._knot_array = _read_only(np.array(self.knots))
 
     def value(self, s):
         return self._horner(s, 0)
@@ -101,52 +113,45 @@ class PiecewisePoly:
         return self._horner(s, 2)
 
     def eval_scalar(self, s, order):
-        """Plain-float Horner for hot scalar paths."""
+        """Plain-float Horner for hot scalar paths (ODE right-hand sides)."""
         x = float(s)
-        ks = self.knots
-        i = len(ks) - 1
-        for j in range(1, len(ks)):
-            if x < ks[j]:
-                i = j - 1
-                break
-        else:
-            i = len(self.coeffs) - 1
-        i = min(i, len(self.coeffs) - 1)
-        dx = x - ks[i]
-        c = self._clists[i] if hasattr(self, "_clists") else [list(map(float, cc)) for cc in self.coeffs][i]
+        i = min(max(bisect.bisect_right(self.knots, x) - 1, 0), len(self.coeffs) - 1)
+        dx = x - self.knots[i]
         acc = 0.0
-        for pw in range(len(c) - 1, order - 1, -1):
-            fac = 1.0
-            for q in range(order):
-                fac *= pw - q
-            acc = acc * dx + fac * c[pw]
+        for c in reversed(self.tables[order][i].tolist()):
+            acc = acc * dx + c
         return acc
 
+    def knot_limits(self, order):
+        """Left and right limits of the order-th derivative at the interior
+        knots, as exact one-sided evaluations of the adjacent pieces."""
+        table = self.tables[order]
+        left = _horner_rows(table, np.arange(len(self.coeffs) - 1), np.diff(self._knot_array))
+        return left, table[1:, 0]
+
     def _horner(self, s, order):
-        scalar = np.isscalar(s) or np.asarray(s).ndim == 0
-        arr = np.atleast_1d(np.asarray(s))
-        out = np.zeros_like(arr)
-        for j, sv in enumerate(arr):
-            i = self._piece(float(sv))
-            x = sv - arr.dtype.type(self.knots[i])
-            c = self.coeffs[i]
-            acc = arr.dtype.type(0)
-            for p in range(len(c) - 1, order - 1, -1):
-                fac = 1.0
-                for q in range(order):
-                    fac *= p - q
-                acc = acc * x + arr.dtype.type(fac * c[p])
-            out[j] = acc
-        return out[0] if scalar else out
+        # pieces are located in float64; the offset from the knot and the
+        # Horner sweep run in the input's float dtype (longdouble is kept)
+        s = np.asarray(s)
+        if s.dtype.kind != "f":
+            s = s.astype(float)
+        rows = np.searchsorted(self._knot_array, s.astype(float), side="right") - 1
+        rows = np.clip(rows, 0, len(self.coeffs) - 1)
+        x = s - self._knot_array.astype(s.dtype, copy=False)[rows]
+        out = _horner_rows(self.tables[order].astype(s.dtype, copy=False), rows, x)
+        return out[()] if out.ndim == 0 else out
 
 
-def _poly_eval(c, x, order=0):
-    acc = 0.0
-    for p in range(len(c) - 1, order - 1, -1):
-        fac = 1.0
-        for q in range(order):
-            fac *= p - q
-        acc = acc * x + fac * c[p]
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def _horner_rows(table, rows, x):
+    """Horner sweep of table[rows] at x, highest power first from zero."""
+    acc = np.zeros_like(x)
+    for col in table.T[::-1]:
+        acc = acc * x + col[rows]
     return acc
 
 
@@ -185,7 +190,7 @@ def _hermite3_integrated(x0, x1, q0, dp0, ddp0, dp1, ddp1):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShapingProfiles:
     eta: PiecewisePoly
     eta_tilde: PiecewisePoly
@@ -354,15 +359,17 @@ def _verify_profiles(prof: ShapingProfiles, n_samples=10_000):
     # continuity of value and first two derivatives at every knot, compared
     # as exact one-sided limits of the polynomial pieces
     for pp in (eta, etat, q):
-        for ki in range(1, len(pp.knots)):
-            x_left = pp.knots[ki] - pp.knots[ki - 1]
-            for order in range(3):
-                lo = _poly_eval(pp.coeffs[ki - 1], x_left, order)
-                hi = _poly_eval(pp.coeffs[ki], 0.0, order)
-                if abs(hi - lo) > 1e-8 * max(1.0, abs(hi), abs(lo)):
-                    raise ProfileConstructionError(
-                        "C^2 continuity", f"order-{order} jump at {pp.knots[ki]}"
-                    )
+        jumps = []
+        for order in range(3):
+            lo, hi = pp.knot_limits(order)
+            scale = np.maximum(1.0, np.maximum(np.abs(hi), np.abs(lo)))
+            jumps.append(np.abs(hi - lo) > 1e-8 * scale)
+        jumps = np.array(jumps)  # (order, interior knot)
+        if jumps.any():
+            ki = int(np.argmax(jumps.any(axis=0)))
+            raise ProfileConstructionError(
+                "C^2 continuity", f"order-{int(np.argmax(jumps[:, ki]))} jump at {pp.knots[ki + 1]}"
+            )
 
 
 def build_profiles(p: ModelParams, verify=True):
@@ -370,6 +377,8 @@ def build_profiles(p: ModelParams, verify=True):
     eta = _build_eta(p)
     etat = _build_eta_tilde(p)
     q_shape, plateau, S = _build_q_shape(p)
+    # curvature report over the deformation band
+    ss = np.linspace(p.r1, p.r2, 4001)
     prof = ShapingProfiles(
         eta=eta,
         eta_tilde=etat,
@@ -377,12 +386,9 @@ def build_profiles(p: ModelParams, verify=True):
         params=p,
         plateau=plateau,
         C1=0.6 * S,
-        C2=0.0,
+        C2=float(np.abs(q_shape.deriv2(ss)).max()),
         eta_tilde_slope_bound=6.0 / p.r1,
     )
-    # curvature report over the deformation band
-    ss = np.linspace(p.r1, p.r2, 4001)
-    prof.C2 = float(np.abs(q_shape.deriv2(ss)).max())
     if verify:
         _verify_profiles(prof)
     return prof
@@ -842,6 +848,25 @@ def flow_containment_probe(p, prof, point: CriticalPoint, c, direction="unstable
     }
 
 
+def _trap_flow(p, prof, u0, t_end):
+    """Forward -grad f flow from u0 over [0, t_end].
+
+    The radial Hessian eigenvalue is of order A, so the flow is stiff: LSODA
+    with the analytic Jacobian -hess f takes steps of the trajectory's own
+    scale where an explicit method is held to steps of about 1/A.
+    """
+
+    def rhs(t, u):
+        _, g = _value_grad_scalar(p, prof, u)
+        return -g
+
+    def jac(t, u):
+        return -eval_f(p, prof, u)[2]
+
+    return scipy.integrate.solve_ivp(rhs, (0.0, t_end), u0, method="LSODA", jac=jac,
+                                     rtol=1e-8, atol=1e-12, max_step=1.0)
+
+
 def forward_trap_check(p, prof, n_traj=16, t_end=50.0):
     """Forward -grad flow started inside the inner separating ball stays in.
 
@@ -857,13 +882,7 @@ def forward_trap_check(p, prof, n_traj=16, t_end=50.0):
         d = rng.normal(size=p.n + 1)
         d /= np.linalg.norm(d)
         u0 = 0.97 * r_in * d * rng.random() ** (1.0 / (p.n + 1))
-
-        def rhs(t, u):
-            _, g = _value_grad_scalar(p, prof, u)
-            return -g
-
-        sol = scipy.integrate.solve_ivp(rhs, (0.0, t_end), u0, rtol=1e-8, atol=1e-12,
-                                        max_step=1.0)
+        sol = _trap_flow(p, prof, u0, t_end)
         worst = max(worst, float(np.linalg.norm(sol.y, axis=0).max()))
     return {"max_radius": worst, "bound": r_in, "contained": worst <= r_in + 1e-9}
 

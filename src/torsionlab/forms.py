@@ -308,7 +308,8 @@ def torsion_form_TL(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200,
     Quadrature is trapezoidal in log t over n_t log-spaced nodes on
     [tau, t_max]; the metric family is the canonical rescaling
     t^{N - n/2} G. The integrand must have decayed below tail_tol at t_max
-    (its chi'(H)/2t parts cancel by construction), otherwise
+    (its (chi'(H) - n/2 chi(H))/2t parts, the large-t limit of
+    Tr_s[(N - n/2) h'(X_t)], cancel by construction), otherwise
     TailNotConvergedError is raised. The degree-1 part, an integral of
     Tr[(N - n/2) Dh'(X0_t)[sigma W]], is zero by parity (see FormOnBase).
     """
@@ -318,6 +319,12 @@ def torsion_form_TL(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200,
     n = fam.fibers[0].top_degree
     e, eh = _family_euler(fam)
     ts = np.geomspace(tau, t_max, n_t)
+
+    # counterterm: the large-t limit chi'(H) - n/2 chi(H) of the supertrace
+    # plus the h'(sqrt(-t)/2) term
+    counter = (eh.chi_prime - 0.5 * n * eh.chi) + (e.chi_prime - 0.5 * n * eh.chi) * np.real(
+        h_prime(0.5j * np.sqrt(ts))
+    )
 
     # spectral part of the degree-0 integrand, per sample
     from .graded import laplacian_spectrum
@@ -332,9 +339,6 @@ def torsion_form_TL(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200,
             lam = laplacian_spectrum(fib, k)[:, None]
             hp = (1.0 - 0.5 * ts[None, :] * lam) * np.exp(-0.25 * ts[None, :] * lam)
             acc += (-1.0) ** k * (k - 0.5 * n) * hp.sum(axis=0)
-        counter = eh.chi_prime + (e.chi_prime - 0.5 * n * eh.chi) * np.real(
-            h_prime(0.5j * np.sqrt(ts))
-        )
         deg0_int[j] = (-acc + counter) / (2.0 * ts)
 
     tail = np.abs(deg0_int[:, -1]).max()

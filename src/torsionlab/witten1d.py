@@ -64,15 +64,15 @@ class InterfaceProfile:
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
-        return self.A * np.sign(s) * self.shape._horner(np.abs(s), 0)
+        return self.A * np.sign(s) * self.shape.value(np.abs(s))
 
     def deriv(self, s):
         s = np.asarray(s, dtype=float)
-        return self.A * self.shape._horner(np.abs(s), 1)
+        return self.A * self.shape.deriv(np.abs(s))
 
     def deriv2(self, s):
         s = np.asarray(s, dtype=float)
-        return self.A * np.sign(s) * self.shape._horner(np.abs(s), 2)
+        return self.A * np.sign(s) * self.shape.deriv2(np.abs(s))
 
 
 def build_p_profile(A, r, verify=True):
@@ -101,18 +101,18 @@ def build_p_profile(A, r, verify=True):
     ]
     shape = PiecewisePoly(knots, coeffs)
     ss = np.linspace(0.0, w, 2001)
-    dv = shape._horner(ss, 1)
+    dv = shape.deriv(ss)
     c1 = float(dv.min())
     full = np.linspace(0.0, r, 4001)
-    c2 = float(np.abs(shape._horner(full, 2)).max())
+    c2 = float(np.abs(shape.deriv2(full)).max())
     prof = InterfaceProfile(shape=shape, r=r, A=float(A), C1=c1, C2=c2,
-                            max_slope=float(np.abs(shape._horner(full, 1)).max()))
+                            max_slope=float(np.abs(shape.deriv(full)).max()))
     if verify:
         if dv.max() > 2.0 * c1 + 1e-9 * r:
             raise ValueError(
                 f"derivative window violated on [0, 0.02r]: range [{dv.min():.3e}, {dv.max():.3e}]"
             )
-        if abs(shape._horner(1.5 * r, 0) - 0.5 * r**2) > 1e-12 * r**2:
+        if abs(shape.value(1.5 * r) - 0.5 * r**2) > 1e-12 * r**2:
             raise ValueError("flat branch violated at 1.5 r")
         s_odd = np.linspace(-2 * r, 2 * r, 1001)
         if np.abs(prof.value(s_odd) + prof.value(-s_odd)).max() > 1e-12 * (A + 1) * r**2:

@@ -1,9 +1,14 @@
+import dataclasses
 import warnings
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from torsionlab import birthdeath as B
+from torsionlab import witten1d as W
 
 PARAMS = dict(n=6, i=3, r1=0.04, r2=0.06, delta=0.0015)
 DELTA = PARAMS["delta"]
@@ -53,6 +58,78 @@ def test_profile_verifier_names_clause(setup):
     with pytest.raises(B.ProfileConstructionError) as exc:
         B._verify_profiles(broken, n_samples=2000)
     assert "eta" in str(exc.value)
+
+
+def _exact_derivative(pp, s, order):
+    """The order-th derivative of pp at s in exact rational arithmetic, from
+    the monomial coefficients, and the Horner error scale sum |a_j| |x|^j."""
+    s = Fraction(*s.as_integer_ratio())
+    i = max([k for k, kn in enumerate(pp.knots) if kn <= s], default=0)
+    x = s - Fraction(pp.knots[i])
+    c = pp.coeffs[i]
+    terms = [
+        Fraction(float(c[p])) * math.perm(p, order) * x ** (p - order)
+        for p in range(order, len(c))
+    ]
+    return sum(terms, Fraction(0)), sum((abs(t) for t in terms), Fraction(0))
+
+
+def _loop_horner(pp, s, order):
+    """Per-point Horner straight from the monomial coefficients, in the
+    dtype of s: the same arithmetic the coefficient tables must reproduce."""
+    i = int(np.searchsorted(pp.knots, float(s), side="right")) - 1
+    i = min(max(i, 0), len(pp.coeffs) - 1)
+    x = s - s.dtype.type(pp.knots[i])
+    acc = s.dtype.type(0)
+    for p in range(len(pp.coeffs[i]) - 1, order - 1, -1):
+        acc = acc * x + s.dtype.type(math.perm(p, order) * pp.coeffs[i][p])
+    return acc
+
+
+def _oracle_samples(pp):
+    ks = list(pp.knots)
+    pts = [-1.0, -1e-3, 1.5 * ks[-1], 10.0]
+    for a, b in zip(ks, ks[1:] + [2.0 * ks[-1]]):
+        pts += [a, np.nextafter(b, -np.inf)] + [a + f * (b - a) for f in (0.1, 0.37, 0.5, 0.93)]
+    return np.array(pts)
+
+
+def test_evaluator_matches_exact_oracle(setup):
+    # every piece of every profile, at and inside the knots, below 0 and
+    # beyond the last knot; longdouble samples carry bits below float64
+    _, prof, _ = setup
+    shapes = [prof.eta, prof.eta_tilde, prof.q_shape, W.build_p_profile(64.0, 0.12).shape]
+    u64 = np.finfo(float).eps / 2
+    for pp in shapes:
+        s64 = _oracle_samples(pp)
+        extra = np.where(np.isin(s64, pp.knots), 0.0, s64 * 2.0**-58)
+        sld = s64.astype(np.longdouble) + extra.astype(np.longdouble)
+        for order, fn in enumerate((pp.value, pp.deriv, pp.deriv2)):
+            for s_arr in (s64, sld):
+                got = fn(s_arr)
+                assert got.dtype == s_arr.dtype
+                u = np.finfo(s_arr.dtype).eps / 2
+                for s, g in zip(s_arr, got):
+                    exact, scale = _exact_derivative(pp, s, order)
+                    # Horner and the knot offset round in the input's dtype;
+                    # a derivative table entry fac * c[p] is rounded once in float64
+                    tol = 16 * u * scale + (u64 * scale if order else 0)
+                    assert abs(Fraction(*g.as_integer_ratio()) - exact) <= tol, (order, s)
+                    assert fn(s) == g == _loop_horner(pp, s, order)
+            for s in s64:
+                assert pp.eval_scalar(s, order) == fn(s)
+
+
+def test_profiles_are_immutable(setup):
+    _, prof, _ = setup
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prof.C2 = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        prof.eta = prof.eta_tilde
+    for pp in (prof.eta, prof.eta_tilde, prof.q_shape):
+        for arr in pp.tables + pp.coeffs:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
 
 def test_eval_at_origin(setup):
@@ -192,6 +269,25 @@ def test_forward_flow_trapped(setup):
     p, prof, _ = setup
     rep = B.forward_trap_check(p, prof, n_traj=6, t_end=20.0)
     assert rep["contained"]
+
+
+def test_trap_flow_matches_explicit_reference(setup):
+    # the stiff LSODA flow against an explicit RK45 run of -grad f at the
+    # same tolerances, over a horizon short enough for the explicit method
+    p, prof, _ = setup
+    r_in = p.A * p.r2 / (p.A + B.C0_ANNULUS)
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        d = rng.normal(size=p.n + 1)
+        u0 = 0.9 * r_in * d / np.linalg.norm(d)
+        stiff = B._trap_flow(p, prof, u0, 0.2)
+        ref = scipy.integrate.solve_ivp(
+            lambda t, u: -B.eval_f(p, prof, u, with_hessian=False)[1], (0.0, 0.2), u0,
+            method="RK45", rtol=1e-8, atol=1e-12, max_step=1.0,
+        )
+        assert stiff.success and ref.success
+        assert np.linalg.norm(stiff.y[:, -1] - ref.y[:, -1]) <= 1e-6 * r_in
+        assert stiff.nfev < ref.nfev
 
 
 def test_census_grid():

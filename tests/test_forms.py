@@ -4,7 +4,7 @@ import scipy.linalg
 
 from torsionlab import forms as F
 from torsionlab.acceptance import _anomaly_family as anomaly_family
-from torsionlab.graded import GradedComplex, finite_torsion
+from torsionlab.graded import GradedComplex, euler_chars_cohomology, finite_torsion
 
 from util import random_complex, random_flat_family
 
@@ -194,6 +194,19 @@ def test_torsion_form_tail_guard():
     fam = F.constant_family(fib, 8)
     with pytest.raises(F.TailNotConvergedError):
         F.torsion_form_TL(fam, tau=1e-3, t_max=20.0, n_t=100)
+
+
+def test_torsion_form_tail_with_cohomology():
+    # fibers with n chi(H) != 0: the supertrace tends to chi'(H) - n/2 chi(H)
+    # at large t, which the counterterm must cancel for the tail to decay
+    for seed in range(3):
+        fam = random_flat_family(np.random.default_rng(seed), m=16)
+        fib = fam.fibers[0]
+        assert fib.top_degree * euler_chars_cohomology(fib).chi != 0
+        tl = F.torsion_form_TL(fam, tau=1e-3, t_max=2000.0, n_t=200)
+        assert np.isfinite(tl.degree0).all()
+        out = F.anomaly_check(fam, tau=1e-3, t_max=80.0, n_t=200)
+        assert out["max_residual"] <= 5e-5
 
 
 def test_anomaly_constant_family_zero():

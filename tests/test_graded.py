@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,16 @@ def test_ambiguity_band_raises():
     c = G.GradedComplex((2, 2), [d])
     with pytest.raises(G.IndeterminateKernelError):
         G.finite_torsion(c)
+
+
+def test_complex_json_round_trip():
+    # through the JSON text, so the float reprs must carry every bit
+    rng = np.random.default_rng(8)
+    for kw in ({}, {"n_deg": 4, "max_piece": 2}, {"acyclic": True}):
+        c = random_complex(rng, **kw)
+        back = G.complex_from_json(json.loads(json.dumps(G.complex_to_json(c))))
+        assert back.ranks == c.ranks
+        for a, b in zip(back.diffs + back.metrics, c.diffs + c.metrics):
+            assert a.shape == b.shape and np.array_equal(a, b)
+    empty = G.GradedComplex((0, 1), [np.zeros((1, 0))])
+    assert G.complex_from_json(G.complex_to_json(empty)).ranks == (0, 1)

@@ -3,52 +3,9 @@
 import numpy as np
 import scipy.linalg
 
+from torsionlab.acceptance import random_complex
 from torsionlab.graded import GradedComplex
 from torsionlab.forms import SuperconnectionFamily
-
-
-def random_metric(rng, r, spread=0.5):
-    if r == 0:
-        return np.zeros((0, 0), dtype=complex)
-    a = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
-    return (spread * a) @ (spread * a).conj().T + np.eye(r, dtype=complex)
-
-
-def random_complex(rng, n_deg=3, max_piece=2, acyclic=False, identity_metrics=False):
-    """Random complex with exact d^2 = 0 via a split model conjugated by
-    random invertibles. Dims per degree: boundaries + harmonics + coboundaries.
-    """
-    h = [0 if acyclic else int(rng.integers(0, max_piece + 1)) for _ in range(n_deg)]
-    c = [int(rng.integers(0, max_piece + 1)) for _ in range(n_deg - 1)]  # c[k] maps iso to b[k+1]
-    if sum(h) + sum(c) == 0:
-        c[0] = 1
-    b = [0] + list(c)
-    ranks = [b[k] + h[k] + (c[k] if k < n_deg - 1 else 0) for k in range(n_deg)]
-    diffs = []
-    for k in range(n_deg - 1):
-        d = np.zeros((ranks[k + 1], ranks[k]), dtype=complex)
-        for i in range(c[k]):
-            s = 0.5 + rng.random() * 2.0
-            d[i, b[k] + h[k] + i] = s
-        diffs.append(d)
-    # conjugate by random invertibles per degree
-    basis = []
-    for r in ranks:
-        if r == 0:
-            basis.append(np.zeros((0, 0), dtype=complex))
-            continue
-        t = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
-        t = t + 3.0 * np.eye(r)
-        basis.append(t)
-    diffs = [
-        (basis[k + 1] @ d @ np.linalg.inv(basis[k])) if d.size else d
-        for k, d in enumerate(diffs)
-    ]
-    if identity_metrics:
-        metrics = [np.eye(r, dtype=complex) for r in ranks]
-    else:
-        metrics = [random_metric(rng, r) for r in ranks]
-    return GradedComplex(tuple(ranks), diffs, metrics)
 
 
 def random_flat_family(rng, m=16):
