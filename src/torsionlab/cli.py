@@ -121,8 +121,8 @@ def run_witten_glue(p):
     import numpy as np
 
     from .acceptance import _cos2
-    from .witten1d import (assemble, build_p_profile, circle_problem,
-                           gluing_scan, spectrum)
+    from .witten1d import (build_p_profile, circle_problem, factor_eigenpairs,
+                           gluing_scan)
 
     ladder = _floats(p["A_ladder"])
     out = gluing_scan(_cos2(p["amplitude"]), T=p["T"], A_ladder=ladder,
@@ -136,23 +136,23 @@ def run_witten_glue(p):
                      row["gaps"][k])
                 )
     header = ["form_degree", "a", "k", "lambda", "lambda_split", "gap"]
-    # companion table in the (t, a, bc, k, lambda, residual) convention from
-    # the assembled full-circle operator at the last rung
+    # companion table in the (t, a, bc, k, lambda, residual) convention: the
+    # 0-form eigenpairs of the factored full-circle operator B^H B at the
+    # last rung (positive semi-definite by construction, unlike the
+    # central-difference realization at large A)
     a_top = ladder[-1]
     prof = build_p_profile(a_top, p["r"])
     cuts = (np.pi / 4, 7 * np.pi / 4)
     prob = circle_problem(_cos2(p["amplitude"]), p["T"], A=a_top,
                           interface=(cuts, p["r"], prof))
-    res = spectrum(prob, min(p["k"], 6))
-    mat = assemble(prob)
+    res = factor_eigenpairs(prob, min(p["k"], 6))
     spectra_rows = []
     vec_dump = []
     for k, lam in enumerate(res.eigenvalues):
-        v = res.eigenvectors[:, k]
-        rr = float(np.linalg.norm(mat @ v - lam * v))
-        spectra_rows.append((p["T"], a_top, "none", k, float(lam), rr))
+        spectra_rows.append((p["T"], a_top, "none", k, float(lam),
+                             float(res.metadata["residuals"][k])))
         if p["dump_vectors"]:
-            vec_dump.append((k, v))
+            vec_dump.append((k, res.eigenvectors[:, k]))
     extra = {
         str(deg): {
             "cluster_counts": [r["cluster_count"] for r in out[deg]],

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .graded import GradedComplex, euler_chars, h_prime
+from .graded import (GradedComplex, _block_diag, _spectra, _spectral_integrand,
+                     euler_chars)
 
 __all__ = [
     "SuperconnectionFamily",
@@ -264,15 +265,13 @@ def transgression(fam: SuperconnectionFamily, metric_path, n_l=33):
             w = np.linalg.eigvalsh(0.5 * (np.asarray(g) + np.asarray(g).conj().T))
             if w.size and w.min() <= 0:
                 raise ValueError(f"metric path leaves the positive cone at l={l}")
-        return scipy.linalg.block_diag(*[np.asarray(g, dtype=complex) for g in gl])
+        return _block_diag([np.asarray(g, dtype=complex) for g in gl])
 
     deriv = getattr(metric_path, "derivative", None)
 
     def dmetrics_at(l, j):
         if deriv is not None:
-            return scipy.linalg.block_diag(
-                *[np.asarray(g, dtype=complex) for g in deriv(l, j)]
-            )
+            return _block_diag([np.asarray(g, dtype=complex) for g in deriv(l, j)])
         eps = 1e-6
         l0, l1 = max(0.0, l - eps), min(1.0, l + eps)
         return (metrics_at(l1, j) - metrics_at(l0, j)) / (l1 - l0)
@@ -316,30 +315,11 @@ def torsion_form_TL(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200,
     if not (0.0 < tau < t_max):
         raise ValueError("need 0 < tau < t_max")
     m = fam.n_samples
-    n = fam.fibers[0].top_degree
     e, eh = _family_euler(fam)
     ts = np.geomspace(tau, t_max, n_t)
-
-    # counterterm: the large-t limit chi'(H) - n/2 chi(H) of the supertrace
-    # plus the h'(sqrt(-t)/2) term
-    counter = (eh.chi_prime - 0.5 * n * eh.chi) + (e.chi_prime - 0.5 * n * eh.chi) * np.real(
-        h_prime(0.5j * np.sqrt(ts))
-    )
-
-    # spectral part of the degree-0 integrand, per sample
-    from .graded import laplacian_spectrum
-
     deg0_int = np.zeros((m, n_t))
     for j in range(m):
-        fib = fam.fibers[j]
-        acc = np.zeros(n_t)
-        for k in range(len(fib.ranks)):
-            if fib.ranks[k] == 0:
-                continue
-            lam = laplacian_spectrum(fib, k)[:, None]
-            hp = (1.0 - 0.5 * ts[None, :] * lam) * np.exp(-0.25 * ts[None, :] * lam)
-            acc += (-1.0) ** k * (k - 0.5 * n) * hp.sum(axis=0)
-        deg0_int[j] = (-acc + counter) / (2.0 * ts)
+        deg0_int[j] = _spectral_integrand(_spectra(fam.fibers[j]), e, eh, ts)
 
     tail = np.abs(deg0_int[:, -1]).max()
     if tail > tail_tol:

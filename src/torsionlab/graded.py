@@ -153,7 +153,7 @@ class GradedComplex:
         return v
 
     def full_metric(self):
-        return scipy.linalg.block_diag(*[g for g in self.metrics]) if self.ranks else np.zeros((0, 0))
+        return _block_diag(self.metrics)
 
     def degree_weights(self):
         """Vector with entry k on the degree-k block."""
@@ -166,6 +166,23 @@ class GradedComplex:
         return np.concatenate(
             [np.full(r, (-1.0) ** k) for k, r in enumerate(self.ranks)]
         ) if self.total_rank else np.zeros(0)
+
+
+def _block_diag(blocks):
+    """scipy.linalg.block_diag of 2-D blocks, written into one zero matrix
+    (the same values without its per-call overhead)."""
+    blocks = list(blocks)
+    if not blocks:
+        return np.zeros((0, 0))
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
 
 
 def adjoints(c: GradedComplex):
@@ -235,29 +252,34 @@ def _split_spectrum(spec, check_band=True):
     return ker, np.clip(spec[spec > thr], 0.0, None)
 
 
+def _spectra(c: GradedComplex):
+    """Laplacian spectrum of every degree, one eigensolve each."""
+    return [laplacian_spectrum(c, k) for k in range(len(c.ranks))]
+
+
+def _euler(dims):
+    chi = sum((-1) ** k * r for k, r in enumerate(dims))
+    chi_p = sum((-1) ** k * k * r for k, r in enumerate(dims))
+    return EulerData(int(chi), int(chi_p))
+
+
+def _kernel_dims(spectra, check_band=False):
+    return [_split_spectrum(spec, check_band=check_band)[0] for spec in spectra]
+
+
 def cohomology_dims(c: GradedComplex, check_band=False):
     """dim H^k as the kernel dimension of the degree-k Laplacian."""
-    dims = []
-    for k in range(len(c.ranks)):
-        spec = laplacian_spectrum(c, k)
-        ker, _ = _split_spectrum(spec, check_band=check_band)
-        dims.append(ker)
-    return dims
+    return _kernel_dims(_spectra(c), check_band=check_band)
 
 
 def euler_chars(c: GradedComplex):
     """Euler data of the complex itself (chi, chi')."""
-    chi = sum((-1) ** k * r for k, r in enumerate(c.ranks))
-    chi_p = sum((-1) ** k * k * r for k, r in enumerate(c.ranks))
-    return EulerData(int(chi), int(chi_p))
+    return _euler(c.ranks)
 
 
 def euler_chars_cohomology(c: GradedComplex):
     """Euler data of the cohomology (chi(H), chi'(H))."""
-    h = cohomology_dims(c)
-    chi = sum((-1) ** k * r for k, r in enumerate(h))
-    chi_p = sum((-1) ** k * k * r for k, r in enumerate(h))
-    return EulerData(int(chi), int(chi_p))
+    return _euler(cohomology_dims(c))
 
 
 def finite_torsion(c: GradedComplex):
@@ -277,50 +299,64 @@ def finite_torsion(c: GradedComplex):
     return float(total)
 
 
-def torsion_integrand(c: GradedComplex, t):
-    """Deformation integrand of the scalar torsion at parameter t.
+def _spectral_integrand(spectra, e, eh, t):
+    """-Tr_s[(N - n/2) h'(X_t)]/(2t) plus the counterterm, from the
+    per-degree Laplacian spectra, the Euler data e of the complex and eh
+    of its cohomology; t is an array.
 
-    This is -Tr_s[(N - n/2) h'(X_t)]/(2t) plus the counterterm
-    (chi'(H) + (chi'(E) - n/2 chi(H)) h'(sqrt(-t)/2))/(2t), where
-    X_t = (t v* - v)/2 so that X_t^2 = -(t/4) Laplacian. Everything is
-    evaluated spectrally; t may be an array.
+    On degree k, h'(X_t) = f(t Laplacian_k) with f(x) = (1 - x/2) e^{-x/4}.
+    The supertrace tends to L = chi'(H) - n/2 chi(H) as t -> inf and to
+    S = chi'(E) - n/2 chi(E) as t -> 0; the counterterm
+    L + (S - L) h'(sqrt(-t)/2), with h'(sqrt(-t)/2) = f(t) running from 1
+    to 0, removes both limits, so the integrand is integrable at both ends
+    and, by Frullani, integrates to the finite torsion of any complex.
     """
-    t = np.asarray(t, dtype=float)
-    n = c.top_degree
-    e = euler_chars(c)
-    eh = euler_chars_cohomology(c)
+    n = len(spectra) - 1
     spectral = np.zeros_like(t)
-    for k in range(len(c.ranks)):
-        if c.ranks[k] == 0:
+    for k, spec in enumerate(spectra):
+        if spec.size == 0:
             continue
-        spec = laplacian_spectrum(c, k)
         lam = spec[:, None]
         hp = (1.0 - 0.5 * t[None, :] * lam) * np.exp(-0.25 * t[None, :] * lam)
         spectral += (-1.0) ** k * (k - 0.5 * n) * hp.sum(axis=0)
-    counter = eh.chi_prime + (e.chi_prime - 0.5 * n * eh.chi) * np.real(
-        h_prime(0.5j * np.sqrt(t))
-    )
+    large = eh.chi_prime - 0.5 * n * eh.chi
+    small = e.chi_prime - 0.5 * n * eh.chi  # chi(E) = chi(H)
+    counter = large + (small - large) * np.real(h_prime(0.5j * np.sqrt(t)))
     return (-spectral + counter) / (2.0 * t)
+
+
+def torsion_integrand(c: GradedComplex, t):
+    """Deformation integrand of the scalar torsion at parameter t.
+
+    X_t = (t v* - v)/2, so that X_t^2 = -(t/4) Laplacian; everything is
+    evaluated spectrally (see _spectral_integrand) and t may be an array.
+    """
+    t = np.asarray(t, dtype=float)
+    spectra = _spectra(c)
+    return _spectral_integrand(spectra, euler_chars(c),
+                               _euler(_kernel_dims(spectra)), t)
 
 
 def finite_torsion_integral(c: GradedComplex, t_max=None):
     """Scalar torsion as the integral of torsion_integrand over (0, inf).
 
     Only well defined (convergent at both ends) when the complex is acyclic;
-    agreement with finite_torsion is the dual-route check.
+    agreement with finite_torsion is the dual-route check. The spectra are
+    solved once per call, not once per quadrature node.
     """
-    h = cohomology_dims(c)
+    spectra = _spectra(c)
+    h = _kernel_dims(spectra)
     if any(h):
         raise ValueError("integral form requires an acyclic complex")
     nonzeros = [
-        _split_spectrum(laplacian_spectrum(c, k))[1]
-        for k in range(len(c.ranks)) if c.ranks[k]
+        _split_spectrum(spec)[1] for k, spec in enumerate(spectra) if c.ranks[k]
     ]
     lam_min = min((nz.min() for nz in nonzeros if nz.size), default=1.0)
     if t_max is None:
         t_max = max(200.0, 200.0 / lam_min)
+    e, eh = euler_chars(c), _euler(h)
     val, _ = scipy.integrate.quad(
-        lambda t: float(torsion_integrand(c, np.array([t]))[0]),
+        lambda t: float(_spectral_integrand(spectra, e, eh, np.array([t]))[0]),
         0.0,
         t_max,
         limit=400,

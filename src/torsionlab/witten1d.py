@@ -5,9 +5,14 @@ deformation of amplitude A): the second-order form is
 -u'' + T^2 (f' + p')^2 u -/+ T (f'' + p'') u. Two realizations are used:
 central differences with the explicit zeroth-order potential (the assembled
 operator the other checks run on), and a conjugated first-order difference
-factor whose singular values give the exponentially small spectrum with
-relative accuracy (central differences cannot see below the
-machine-epsilon-times-stiffness floor).
+factor B whose singular values give the exponentially small spectrum. An
+eigensolve of the assembled operator K has absolute error of order
+eps * ||K||, a relative error of eps * sigma_max^2 / lambda for a small
+eigenvalue lambda = sigma^2; the dense SVD of B has absolute error of
+order eps * sigma_max in sigma, a relative error of only
+eps * sigma_max / sigma (a few units of it against a 50-digit mpmath
+oracle in the tests). Neither is relative accuracy: singular values below
+eps * sigma_max are noise.
 
 Boundary conditions on an interval piece: 'absolute' is Neumann for 0-forms
 and Dirichlet for 1-forms, 'relative' the swap.
@@ -35,6 +40,7 @@ __all__ = [
     "assemble_factor",
     "spectrum",
     "factor_spectrum",
+    "factor_eigenpairs",
     "gluing_scan",
     "small_eigenvalue_scan",
     "agmon_distance",
@@ -301,8 +307,9 @@ def assemble_factor(problem: WittenProblem1D):
     Row i maps nodes (i, i+1) with entries -/+ exp(-/+ T dF_i / 2) / h,
     dF_i the potential increment across the edge (midpoint rule). The
     0-form Laplacian B^H B annihilates the discrete e^{-T F} exactly, and
-    B's singular values carry the exponentially small spectrum to relative
-    accuracy. Boundary handling: the 'absolute' factor keeps all nodes, the
+    B's singular values carry the exponentially small spectrum with
+    absolute error of order eps * sigma_max (see the module docstring).
+    Boundary handling: the 'absolute' factor keeps all nodes, the
     'relative' factor restricts to interior nodes.
     """
     h = problem.h
@@ -333,42 +340,119 @@ def factor_spectrum(problem: WittenProblem1D, k=None, dense_limit=1800):
 
     For form_degree 0 the operator is B^H B, for 1 it is B B^H; exact
     kernel dimensions follow from the factor shape and rank. Small sizes
-    use a dense SVD of the factor, which resolves exponentially small
-    singular values to relative accuracy; large sizes fall back to sparse
-    shift-invert on the second-order operator and clamp eigenvalues below
-    the backward-error floor eps * ||K|| to zero.
+    use a dense SVD of the factor, whose singular values carry an absolute
+    error of order eps * sigma_max (see the module docstring); large sizes
+    fall back to sparse shift-invert on the second-order operator and
+    clamp eigenvalues below the backward-error floor eps * ||K|| to zero.
+    """
+    return _factor_spectra(problem, (problem.form_degree,), k, dense_limit)[
+        problem.form_degree
+    ]
+
+
+def _factor_spectra(problem: WittenProblem1D, degrees, k=None, dense_limit=1800):
+    """factor_spectrum of `problem` in each form degree of `degrees`.
+
+    B does not depend on the form degree, and B^H B and B B^H share its
+    nonzero singular values, so the dense SVD is computed at most once.
+    The dense/sparse choice stays per degree (dim <= dense_limit).
     """
     b = assemble_factor(problem)
     rows, cols = b.shape
-    dim = cols if problem.form_degree == 0 else rows
-    rank = min(rows, cols)
-    if dim <= dense_limit:
-        svals = np.linalg.svd(b.toarray(), compute_uv=False)
-        lam = np.sort(svals) ** 2
-        floor = 64 * np.finfo(float).eps * max(svals.max(), 1.0)
-        numeric_rank = int((svals > floor).sum())
-        lam = np.concatenate([np.zeros(dim - rank), lam])
-        kernel = dim - numeric_rank
-        lam[:kernel] = 0.0
-        if k is not None:
-            lam = lam[:k]
-        return lam, int(kernel)
-    op = (b.conj().T @ b) if problem.form_degree == 0 else (b @ b.conj().T)
+    svals = None
+    out = {}
+    for deg in degrees:
+        dim = cols if deg == 0 else rows
+        if dim <= dense_limit:
+            if svals is None:
+                svals = _factor_svals(b)
+            out[deg] = _dense_factor_spectrum(svals, dim, min(rows, cols), k)
+        else:
+            out[deg] = _sparse_factor_spectrum(b, deg, dim, k)
+    return out
+
+
+def _factor_svals(b):
+    """Dense singular values of the factor (LAPACK gesdd, descending)."""
+    return np.linalg.svd(b.toarray(), compute_uv=False)
+
+
+def _dense_factor_spectrum(svals, dim, rank, k):
+    """(eigenvalues, kernel) of a dim-sized factor Laplacian from the
+    singular values of its factor of rank <= `rank`.
+
+    Values below 64 eps * max(sigma_max, 1) count as kernel, and the
+    dim - rank structural zeros are padded in.
+    """
+    lam = np.sort(svals) ** 2
+    floor = 64 * np.finfo(float).eps * max(svals.max(), 1.0)
+    numeric_rank = int((svals > floor).sum())
+    lam = np.concatenate([np.zeros(dim - rank), lam])
+    kernel = dim - numeric_rank
+    lam[:kernel] = 0.0
+    if k is not None:
+        lam = lam[:k]
+    return lam, int(kernel)
+
+
+def _factor_operator(b, form_degree):
+    """Shift-invert setup for the factor Laplacian: the CSC operator
+    B^H B (degree 0) or B B^H (degree 1), the shift, the roundoff floor
+    30 eps ||op|| below which its eigenvalues are zero (||op|| estimated as
+    2 max|diag|), and the fixed start vector."""
+    op = (b.conj().T @ b) if form_degree == 0 else (b @ b.conj().T)
     op = op.tocsc()
     norm_est = float(np.abs(op.diagonal()).max()) * 2.0
-    want = min(dim - 2, (k or 8) + 2)
     v0 = np.full(op.shape[0], 1.0 / np.sqrt(op.shape[0]))
-    w = spla.eigsh(op, k=want, sigma=-1e-6 * norm_est, which="LM", v0=v0,
+    return op, -1e-6 * norm_est, 30.0 * np.finfo(float).eps * norm_est, v0
+
+
+def _sparse_factor_spectrum(b, form_degree, dim, k):
+    """(eigenvalues, kernel) from shift-invert Lanczos on the factor
+    Laplacian; values below the roundoff floor are clamped to zero."""
+    op, shift, clamp, v0 = _factor_operator(b, form_degree)
+    want = min(dim - 2, (k or 8) + 2)
+    w = spla.eigsh(op, k=want, sigma=shift, which="LM", v0=v0,
                    return_eigenvectors=False)
     w = np.sort(w)
-    clamp = 30.0 * np.finfo(float).eps * norm_est
     w[np.abs(w) < clamp] = 0.0
     kernel = int((w == 0.0).sum())
-    structural = dim - rank
+    structural = dim - min(b.shape)
     kernel = max(kernel, structural)
     if k is not None:
         w = w[:k]
     return w, int(kernel)
+
+
+def factor_eigenpairs(problem: WittenProblem1D, k):
+    """Lowest k eigenpairs of the factor Laplacian B^H B (degree 0) or
+    B B^H (degree 1), by shift-invert Lanczos with vectors.
+
+    The operator is positive semi-definite by construction, so values
+    below the roundoff floor 30 eps ||op|| are clamped to zero, as in
+    factor_spectrum. Residuals ||op v - lambda v|| are checked at
+    1e-8 max(1, |lambda|), the gate of spectrum(); metadata['residuals']
+    holds them.
+    """
+    op, shift, clamp, v0 = _factor_operator(assemble_factor(problem),
+                                            problem.form_degree)
+    w, vecs = spla.eigsh(op, k=min(op.shape[0] - 2, k + 2), sigma=shift,
+                         which="LM", v0=v0)
+    order = np.argsort(w)[:k]
+    w, vecs = w[order], vecs[:, order]
+    w[np.abs(w) < clamp] = 0.0
+    residuals = np.linalg.norm(op @ vecs - vecs * w, axis=0)
+    for j, res in enumerate(residuals):
+        if res > 1e-8 * max(1.0, abs(w[j])) * np.linalg.norm(vecs[:, j]):
+            raise RuntimeError(f"eigenpair {j} residual {res:.3e} too large")
+    return SpectrumResult(
+        eigenvalues=w,
+        eigenvectors=vecs,
+        kernel_dim=int((w == 0.0).sum()),
+        metadata={"T": problem.T, "A": problem.A, "bc": problem.bc,
+                  "N": problem.n_nodes, "form_degree": problem.form_degree,
+                  "residuals": residuals},
+    )
 
 
 def spectrum(problem: WittenProblem1D, k):
@@ -424,6 +508,8 @@ def gluing_scan(f_triple, T, A_ladder, interface_r, cuts=(np.pi / 4, 7 * np.pi /
     """
     if not all(a2 > a1 for a1, a2 in zip(A_ladder, A_ladder[1:])):
         raise ValueError("A_ladder must be increasing")
+    if any(deg not in (0, 1) for deg in form_degrees):
+        raise ValueError("form_degree must be 0 or 1")
     f, fp, fpp = f_triple
     # interfaces must avoid critical points of f
     probe = np.linspace(0, 2 * np.pi, 8192, endpoint=False)
@@ -432,38 +518,37 @@ def gluing_scan(f_triple, T, A_ladder, interface_r, cuts=(np.pi / 4, 7 * np.pi /
     for c in cuts:
         if crit.size and np.min(np.abs((crit - c + np.pi) % (2 * np.pi) - np.pi)) < 2.2 * interface_r:
             raise ValueError(f"interface at {c:.3f} sits too close to a critical point")
-    out = {}
-    for deg in form_degrees:
-        rows = []
-        for A in A_ladder:
-            prof = build_p_profile(A, interface_r)
-            full = circle_problem(f_triple, T, n_nodes=n_nodes, A=A,
-                                  interface=(cuts, interface_r, prof),
-                                  form_degree=deg)
-            # snap cuts to grid nodes
-            i0 = int(round(cuts[0] / full.h))
-            i1 = int(round(cuts[1] / full.h))
-            piece_abs = interval_problem(full, i0, i1, "absolute")
-            piece_rel = interval_problem(full, i1, i0 + full.n_nodes, "relative")
-            lam_full, _ = factor_spectrum(full, k=k)
-            la, ka = factor_spectrum(piece_abs)
-            lb, kb = factor_spectrum(piece_rel)
+    out = {deg: [] for deg in form_degrees}
+    for A in A_ladder:
+        prof = build_p_profile(A, interface_r)
+        full = circle_problem(f_triple, T, n_nodes=n_nodes, A=A,
+                              interface=(cuts, interface_r, prof))
+        # snap cuts to grid nodes
+        i0 = int(round(cuts[0] / full.h))
+        i1 = int(round(cuts[1] / full.h))
+        piece_abs = interval_problem(full, i0, i1, "absolute")
+        piece_rel = interval_problem(full, i1, i0 + full.n_nodes, "relative")
+        # each factor is shared by all form degrees
+        spec_full = _factor_spectra(full, form_degrees, k=k)
+        spec_abs = _factor_spectra(piece_abs, form_degrees)
+        spec_rel = _factor_spectra(piece_rel, form_degrees)
+        for deg in form_degrees:
+            lam_full, _ = spec_full[deg]
+            la, ka = spec_abs[deg]
+            lb, kb = spec_rel[deg]
             lam_split = np.sort(np.concatenate([la, lb]))[:k]
-            gaps = np.abs(lam_full - lam_split)
-            cluster = _small_cluster_count(lam_full)
-            rows.append(
+            out[deg].append(
                 {
                     "A": A,
                     "lambda": lam_full,
                     "lambda_split": lam_split,
-                    "gaps": gaps,
-                    "cluster_count": cluster,
+                    "gaps": np.abs(lam_full - lam_split),
+                    "cluster_count": _small_cluster_count(lam_full),
                     "kernel_sum": ka + kb,
                     "kernel_abs": ka,
                     "kernel_rel": kb,
                 }
             )
-        out[deg] = rows
     return out
 
 
@@ -512,17 +597,18 @@ def agmon_distance(f_triple, T, from_set, n_nodes=2048):
     return s, dist.min(axis=0)
 
 
+def _sign_change(vals):
+    """Mask of periodic samples i with vals[i] and vals[i+1] on opposite
+    sides of zero (an exact zero counts as nonnegative)."""
+    return (vals < 0) != (np.roll(vals, -1) < 0)
+
+
 def critical_neighborhood_mask(f_triple, s, width=0.3):
     """Boolean mask of nodes within `width` of a critical point of f."""
     _, fp, _ = f_triple
     fine = np.linspace(0, 2 * np.pi, 16384, endpoint=False)
     vals = fp(fine)
-    crit = []
-    for i in range(len(fine)):
-        a, b = vals[i], vals[(i + 1) % len(fine)]
-        if a == 0.0 or (a < 0) != (b < 0):
-            crit.append(fine[i])
-    crit = np.asarray(crit)
+    crit = fine[(vals == 0.0) | _sign_change(vals)]
     mask = np.zeros(len(s), dtype=bool)
     for c in crit:
         d = np.abs((s - c + np.pi) % (2 * np.pi) - np.pi)
@@ -547,7 +633,8 @@ def small_eigenvalue_scan(f_triple, T_ladder, k_branches=1, n_nodes=None,
     for T in T_ladder:
         prob = circle_problem(f_triple, T, n_nodes=n_nodes, form_degree=0)
         # the branch values are exponentially small: force the dense SVD of
-        # the factor, which resolves them to relative accuracy
+        # the factor, whose error is eps * sigma_max in sigma rather than
+        # eps * ||K|| in lambda
         lam, kernel = factor_spectrum(prob, k=k_branches + kernel_guess(prob),
                                       dense_limit=6000)
         nonzero = lam[lam > 0]
@@ -558,8 +645,8 @@ def small_eigenvalue_scan(f_triple, T_ladder, k_branches=1, n_nodes=None,
                     lam_branches[j].append(val)
                     ts_used[j].append(T)
     # Agmon oracle: distance from the wells to the separating ridge
-    s, rho1 = agmon_distance(f_triple, 1.0, _well_nodes(f_triple, 2048))
-    ridge = _ridge_nodes(f_triple, 2048)
+    s, rho1 = agmon_distance(f_triple, 1.0, _critical_nodes(f_triple, 2048, +1))
+    ridge = _critical_nodes(f_triple, 2048, -1)
     barrier = float(rho1[ridge].min())
     out = {}
     for j, vals in lam_branches.items():
@@ -584,28 +671,13 @@ def kernel_guess(problem):
     return 1 if problem.topology == "circle" else 0
 
 
-def _well_nodes(f_triple, n):
-    f, fp, fpp = f_triple
+def _critical_nodes(f_triple, n, curvature):
+    """Nodes i of the n-point circle grid where f' changes sign between i
+    and i+1 and curvature * f''(s_i) > 0: wells for +1, ridges for -1."""
+    _, fp, fpp = f_triple
     s = np.linspace(0, 2 * np.pi, n, endpoint=False)
-    vals = fp(s)
-    nodes = []
-    for i in range(n):
-        a, b = vals[i], vals[(i + 1) % n]
-        if (a < 0) != (b < 0) and fpp(s[i]) > 0:
-            nodes.append(i)
-    return np.asarray(nodes, dtype=int)
-
-
-def _ridge_nodes(f_triple, n):
-    f, fp, fpp = f_triple
-    s = np.linspace(0, 2 * np.pi, n, endpoint=False)
-    vals = fp(s)
-    nodes = []
-    for i in range(n):
-        a, b = vals[i], vals[(i + 1) % n]
-        if (a < 0) != (b < 0) and fpp(s[i]) < 0:
-            nodes.append(i)
-    return np.asarray(nodes, dtype=int)
+    idx = np.flatnonzero(_sign_change(fp(s)))
+    return idx[curvature * fpp(s[idx]) > 0]
 
 
 def agmon_decay_check(f_triple, T_ladder, b=0.5, well_width=0.3, n_nodes=None,

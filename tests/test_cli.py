@@ -134,3 +134,18 @@ def test_linear_algebra_failure_exits_3(tmp_path, monkeypatch, error):
     out = tmp_path / "la"
     assert run_cli(["run", "torsion", "--output-dir", str(out)]) == 3
     assert not out.exists()
+
+
+def test_witten_glue_default_config(tmp_path):
+    # the README example: the companion table comes from the factored
+    # operator B^H B, whose eigenvalues are nonnegative
+    out = tmp_path / "glue"
+    assert run_cli(["run", "witten-glue", "--output-dir", str(out)]) == 0
+    lines = (out / "spectra.csv").read_text().strip().split("\n")
+    assert lines[0] == "t,a,bc,k,lambda,residual"
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == 6
+    lam = np.array([float(r["lambda"]) for r in rows])
+    res = np.array([float(r["residual"]) for r in rows])
+    assert (lam >= 0).all() and (np.diff(lam) >= 0).all()
+    assert (res <= 1e-8 * np.maximum(1.0, np.abs(lam))).all()

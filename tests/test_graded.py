@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 
 from torsionlab import graded as G
 
@@ -185,3 +187,70 @@ def test_complex_json_round_trip():
             assert a.shape == b.shape and np.array_equal(a, b)
     empty = G.GradedComplex((0, 1), [np.zeros((1, 0))])
     assert G.complex_from_json(G.complex_to_json(empty)).ranks == (0, 1)
+
+
+def test_torsion_integrand_counterterms():
+    # n = 1 and H = C^0: the supertrace of (N - n/2) h'(X_t) is -1/2 for
+    # every t and the counterterm must cancel it exactly (a bare chi'(H)
+    # leaves t * integrand at n chi(H)/4 for large t)
+    c = G.GradedComplex((1, 0), [np.zeros((0, 1))])
+    ts = np.geomspace(1e-6, 1e6, 13)
+    assert np.abs(ts * G.torsion_integrand(c, ts)).max() < 1e-12
+
+
+def test_torsion_integrand_integrates_to_torsion_with_cohomology():
+    # with both limits of the supertrace removed the integral converges for
+    # complexes with cohomology too and equals the log-determinant route
+    rng = np.random.default_rng(10)
+    done = 0
+    while done < 8:
+        c = random_complex(rng, n_deg=3, max_piece=2)
+        from util import _min_nonzero_eig
+        if not any(G.cohomology_dims(c)) or _min_nonzero_eig(c) < 0.05:
+            continue
+        val = sum(
+            scipy.integrate.quad(lambda t: float(G.torsion_integrand(c, np.array([t]))[0]),
+                                 a, b, limit=400)[0]
+            for a, b in ((0.0, 1.0), (1.0, 200.0 / _min_nonzero_eig(c)))
+        )
+        closed = G.finite_torsion(c)
+        assert abs(val - closed) <= 1e-6 * max(1.0, abs(closed)), (c.ranks, val, closed)
+        done += 1
+
+
+def test_finite_torsion_integral_solves_each_spectrum_once(monkeypatch):
+    h = 2 * np.pi / 6
+    d = (np.roll(np.eye(6), 1, axis=1) - np.eye(6)).astype(complex) / h
+    d[5, 0] *= np.exp(0.7j)
+    c = G.GradedComplex((6, 6), [d])
+    expected = G.finite_torsion_integral(c)
+    calls = []
+    solve = G.laplacian_spectrum
+
+    def counting(cpx, k):
+        calls.append(k)
+        return solve(cpx, k)
+
+    monkeypatch.setattr(G, "laplacian_spectrum", counting)
+    assert G.finite_torsion_integral(c) == expected
+    assert sorted(calls) == [0, 1]
+
+
+def test_block_diag_matches_scipy():
+    rng = np.random.default_rng(9)
+    blocks = [
+        rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+        np.zeros((0, 0), dtype=complex),
+        rng.normal(size=(3, 1)),
+        np.zeros((2, 0)),
+        np.ones((1, 1), dtype=complex),
+    ]
+    for sub in (blocks, blocks[:1], blocks[1:2], blocks[2:4]):
+        ref = scipy.linalg.block_diag(*sub)
+        got = G._block_diag(sub)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+    assert G._block_diag([]).shape == (0, 0)
+    for _ in range(20):
+        c = random_complex(rng)
+        assert np.array_equal(c.full_metric(), scipy.linalg.block_diag(*c.metrics))

@@ -236,3 +236,145 @@ def test_schauder_norms():
             assert W.schauder_norm(b, n) <= rk ** (1.0 / n) * W.schauder_norm(
                 b, np.inf
             ) * (1 + 1e-12)
+
+
+CUTS = (np.pi / 4, 7 * np.pi / 4)
+
+
+def _glue_problems(f_triple, T, A, r, n_nodes, deg):
+    prof = W.build_p_profile(A, r)
+    full = W.circle_problem(f_triple, T, n_nodes=n_nodes, A=A,
+                            interface=(CUTS, r, prof), form_degree=deg)
+    i0 = int(round(CUTS[0] / full.h))
+    i1 = int(round(CUTS[1] / full.h))
+    return (full, W.interval_problem(full, i0, i1, "absolute"),
+            W.interval_problem(full, i1, i0 + full.n_nodes, "relative"))
+
+
+def test_gluing_scan_matches_per_degree_factor_spectrum():
+    # reference: one public factor_spectrum call per degree, factor and rung
+    f_triple, T, ladder, r, k, n_nodes = cos2(0.05), 10.0, [1.0, 4.0], 0.12, 7, 2400
+    out = W.gluing_scan(f_triple, T=T, A_ladder=ladder, interface_r=r, k=k,
+                        n_nodes=n_nodes)
+    for deg in (0, 1):
+        for A, row in zip(ladder, out[deg]):
+            full, piece_abs, piece_rel = _glue_problems(f_triple, T, A, r, n_nodes, deg)
+            # the ladder crosses the dense/sparse switch (dense_limit 1800):
+            # the circle is sparse, the relative piece dense, and the
+            # absolute piece is sparse in degree 0 and dense in degree 1
+            assert W.assemble_factor(piece_abs).shape == (1800, 1801)
+            lam, _ = W.factor_spectrum(full, k=k)
+            la, ka = W.factor_spectrum(piece_abs)
+            lb, kb = W.factor_spectrum(piece_rel)
+            split = np.sort(np.concatenate([la, lb]))[:k]
+            assert row["A"] == A
+            assert np.array_equal(row["lambda"], lam)
+            assert np.array_equal(row["lambda_split"], split)
+            assert np.array_equal(row["gaps"], np.abs(lam - split))
+            assert row["cluster_count"] == W._small_cluster_count(lam)
+            assert (row["kernel_abs"], row["kernel_rel"], row["kernel_sum"]) == (ka, kb, ka + kb)
+
+
+def test_gluing_scan_one_dense_svd_per_factor_and_rung(monkeypatch):
+    shapes = []
+    svals = W._factor_svals
+
+    def counting(b):
+        shapes.append(b.shape)
+        return svals(b)
+
+    monkeypatch.setattr(W, "_factor_svals", counting)
+    ladder = [1.0, 2.0, 4.0]
+    W.gluing_scan(cos2(0.05), T=10.0, A_ladder=ladder, interface_r=0.12, k=7,
+                  n_nodes=480)
+    # full circle, absolute and relative piece, each dense in both degrees
+    assert len(shapes) == 3 * len(ladder)
+    assert len(set(shapes)) == 3
+
+
+def _sturm_count(diag, off, x):
+    """Eigenvalues below x of the symmetric tridiagonal (diag, off)."""
+    import mpmath
+
+    count = 0
+    d = diag[0] - x
+    count += d < 0
+    for i in range(1, len(diag)):
+        if d == 0:
+            d = mpmath.mpf(10) ** (-2 * mpmath.mp.dps)
+        d = diag[i] - x - off[i - 1] ** 2 / d
+        count += d < 0
+    return count
+
+
+def test_dense_factor_svd_accuracy_against_mpmath():
+    # oracle: 50-digit Sturm bisection on B B^T (tridiagonal) for the two
+    # lowest eigenvalues of the 1-form Laplacian of a double-well interval
+    # piece; the lowest is the tunnelling value, 1e-11 of sigma_max^2
+    import mpmath
+
+    full = W.circle_problem(cos2(0.1), 60.0)
+    i0 = int(round(np.pi / 4 / full.h))
+    i1 = int(round(7 * np.pi / 4 / full.h))
+    piece = W.interval_problem(full, i0, i1, "absolute", form_degree=1)
+    b = W.assemble_factor(piece).toarray()
+    rows = b.shape[0]
+    lam, kernel = W.factor_spectrum(piece, k=2)
+    assert kernel == 0 and 0 < lam[0] < 1e-9 < lam[1]
+    sigma_max = np.linalg.svd(b, compute_uv=False).max()
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(float(b[i, i])) for i in range(rows)]
+        c = [mpmath.mpf(float(b[i, i + 1])) for i in range(rows)]
+        diag = [a[i] ** 2 + c[i] ** 2 for i in range(rows)]
+        off = [c[i] * a[i + 1] for i in range(rows - 1)]
+        for j in range(2):
+            lo, hi = mpmath.mpf(0), mpmath.mpf(2 * lam[j])
+            assert _sturm_count(diag, off, hi) >= j + 1
+            while hi - lo > mpmath.mpf(10) ** -25 * hi:
+                mid = (lo + hi) / 2
+                if _sturm_count(diag, off, mid) >= j + 1:
+                    hi = mid
+                else:
+                    lo = mid
+            sigma = float(mpmath.sqrt((lo + hi) / 2))
+            # backward stable: absolute error a few eps * sigma_max in
+            # sigma, so the relative error of lambda = sigma^2 is about
+            # 2 eps sigma_max / sigma (2.4e-9 here for the lowest value,
+            # against eps sigma_max^2 / lambda = 2.7e-2 for the assembled
+            # second-order operator)
+            err = abs(np.sqrt(lam[j]) - sigma)
+            assert err <= 8 * np.finfo(float).eps * sigma_max, (j, err / sigma)
+
+
+def _loop_sign_changes(vals, count_zero):
+    # the per-node scans the vectorized helper replaced
+    n = len(vals)
+    out = []
+    for i in range(n):
+        a, b = vals[i], vals[(i + 1) % n]
+        if (count_zero and a == 0.0) or (a < 0) != (b < 0):
+            out.append(i)
+    return np.asarray(out, dtype=int)
+
+
+@pytest.mark.parametrize("amp", [0.08, 0.1, 0.12, 0.35])
+def test_sign_change_scans_match_loops(amp):
+    f_triple = cos2(amp)
+    _, fp, fpp = f_triple
+    s = np.linspace(0, 2 * np.pi, 2048, endpoint=False)
+    changes = _loop_sign_changes(fp(s), count_zero=False)
+    wells = np.array([i for i in changes if fpp(s[i]) > 0], dtype=int)
+    ridges = np.array([i for i in changes if fpp(s[i]) < 0], dtype=int)
+    assert np.array_equal(W._critical_nodes(f_triple, 2048, +1), wells)
+    assert np.array_equal(W._critical_nodes(f_triple, 2048, -1), ridges)
+    assert len(wells) == len(ridges) == 2
+    fine = np.linspace(0, 2 * np.pi, 16384, endpoint=False)
+    # fp(0) = 0 exactly, which the mask counts as a critical point
+    crit = fine[_loop_sign_changes(fp(fine), count_zero=True)]
+    assert 0.0 in crit
+    for T in (20.0, 80.0):
+        nodes = W.circle_problem(f_triple, T).nodes
+        ref = np.zeros(len(nodes), dtype=bool)
+        for c in crit:
+            ref |= np.abs((nodes - c + np.pi) % (2 * np.pi) - np.pi) <= 0.3
+        assert np.array_equal(W.critical_neighborhood_mask(f_triple, nodes), ref)
