@@ -8,11 +8,15 @@ operator the other checks run on), and a conjugated first-order difference
 factor B whose singular values give the exponentially small spectrum. An
 eigensolve of the assembled operator K has absolute error of order
 eps * ||K||, a relative error of eps * sigma_max^2 / lambda for a small
-eigenvalue lambda = sigma^2; the dense SVD of B has absolute error of
-order eps * sigma_max in sigma, a relative error of only
-eps * sigma_max / sigma (a few units of it against a 50-digit mpmath
-oracle in the tests). Neither is relative accuracy: singular values below
-eps * sigma_max are noise.
+eigenvalue lambda = sigma^2. The singular values of B come from bisection
+on its Golub-Kahan matrix [[0, B], [B^H, 0]] in band storage (Demmel and
+Kahan, Accurate singular values of bidiagonal matrices, 1990). On an
+interval piece that matrix is tridiagonal with zero diagonal, and bisection
+gives every singular value to a few eps relative, however small it is. On
+the circle B is cyclic and its band is reduced to tridiagonal form by
+rotations first, so a singular value there has an absolute error of about
+eps * sigma_max, and values below that are noise. Both claims are checked
+against 50-digit mpmath oracles in the tests.
 
 Boundary conditions on an interval piece: 'absolute' is Neumann for 0-forms
 and Dirichlet for 1-forms, 'relative' the swap.
@@ -307,8 +311,9 @@ def assemble_factor(problem: WittenProblem1D):
     Row i maps nodes (i, i+1) with entries -/+ exp(-/+ T dF_i / 2) / h,
     dF_i the potential increment across the edge (midpoint rule). The
     0-form Laplacian B^H B annihilates the discrete e^{-T F} exactly, and
-    B's singular values carry the exponentially small spectrum with
-    absolute error of order eps * sigma_max (see the module docstring).
+    B's singular values carry the exponentially small spectrum: to a few
+    eps relative on an interval piece, to about eps * sigma_max absolute
+    on the circle (see the module docstring).
     Boundary handling: the 'absolute' factor keeps all nodes, the
     'relative' factor restricts to interior nodes.
     """
@@ -339,11 +344,14 @@ def factor_spectrum(problem: WittenProblem1D, k=None, dense_limit=1800):
     """Low spectrum of the factorized Witten Laplacian.
 
     For form_degree 0 the operator is B^H B, for 1 it is B B^H; exact
-    kernel dimensions follow from the factor shape and rank. Small sizes
-    use a dense SVD of the factor, whose singular values carry an absolute
-    error of order eps * sigma_max (see the module docstring); large sizes
-    fall back to sparse shift-invert on the second-order operator and
-    clamp eigenvalues below the backward-error floor eps * ||K|| to zero.
+    kernel dimensions follow from the factor shape and rank. Sizes up to
+    dense_limit take the lowest singular values of the factor by banded
+    Golub-Kahan bisection, to a few eps relative on an interval piece and
+    to about eps * sigma_max absolute on the circle (see the module
+    docstring); larger sizes fall back to sparse shift-invert on the
+    second-order operator and clamp eigenvalues below the backward-error
+    floor eps * ||K|| to zero. The k lowest eigenvalues are returned; with
+    k=None both paths return at most 10.
     """
     return _factor_spectra(problem, (problem.form_degree,), k, dense_limit)[
         problem.form_degree
@@ -354,45 +362,75 @@ def _factor_spectra(problem: WittenProblem1D, degrees, k=None, dense_limit=1800)
     """factor_spectrum of `problem` in each form degree of `degrees`.
 
     B does not depend on the form degree, and B^H B and B B^H share its
-    nonzero singular values, so the dense SVD is computed at most once.
-    The dense/sparse choice stays per degree (dim <= dense_limit).
+    nonzero singular values, so the band solve runs at most once. The
+    band/sparse choice stays per degree (dim <= dense_limit).
     """
     b = assemble_factor(problem)
     rows, cols = b.shape
+    rank = min(rows, cols)
     svals = None
     out = {}
     for deg in degrees:
         dim = cols if deg == 0 else rows
         if dim <= dense_limit:
             if svals is None:
-                svals = _factor_svals(b)
-            out[deg] = _dense_factor_spectrum(svals, dim, min(rows, cols), k)
+                svals, floor = _factor_svals(b, min(rank, (k or 8) + 2))
+            out[deg] = _band_factor_spectrum(svals, floor, dim, rank, k)
         else:
             out[deg] = _sparse_factor_spectrum(b, deg, dim, k)
     return out
 
 
-def _factor_svals(b):
-    """Dense singular values of the factor (LAPACK gesdd, descending)."""
-    return np.linalg.svd(b.toarray(), compute_uv=False)
+def _golub_kahan_band(b):
+    """Lower band storage of the Golub-Kahan matrix [[0, B], [B^H, 0]]
+    after a reverse Cuthill-McKee reordering: bandwidth 1 (the
+    zero-diagonal tridiagonal) for a bidiagonal B, 2 for a cyclic one."""
+    gk = sp.bmat([[None, b], [b.conj().T, None]], format="csr")
+    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(gk, symmetric_mode=True)
+    gk = gk[perm][:, perm].tocoo()
+    lower = gk.row >= gk.col
+    i, j = gk.row[lower], gk.col[lower]
+    band = np.zeros((int((i - j).max()) + 1, gk.shape[0]), dtype=gk.dtype)
+    band[i - j, j] = gk.data[lower]
+    return band
 
 
-def _dense_factor_spectrum(svals, dim, rank, k):
-    """(eigenvalues, kernel) of a dim-sized factor Laplacian from the
-    singular values of its factor of rank <= `rank`.
+def _factor_svals(b, want):
+    """Lowest singular values of the factor (ascending) and the kernel
+    floor 64 eps * max(sigma_max, 1), at or below which they count as zero.
 
-    Values below 64 eps * max(sigma_max, 1) count as kernel, and the
-    dim - rank structural zeros are padded in.
+    Index-selected bisection (LAPACK sbevx) on the banded Golub-Kahan
+    matrix, whose eigenvalues are +-sigma and |rows - cols| zeros. The
+    window of `want` values widens until it reaches a value above the
+    floor, so no kernel value is left outside it.
     """
-    lam = np.sort(svals) ** 2
-    floor = 64 * np.finfo(float).eps * max(svals.max(), 1.0)
-    numeric_rank = int((svals > floor).sum())
-    lam = np.concatenate([np.zeros(dim - rank), lam])
-    kernel = dim - numeric_rank
+    band = _golub_kahan_band(b)
+    n = band.shape[1]
+    rank = min(b.shape)
+
+    def eigs(lo, hi):
+        return scipy.linalg.eig_banded(band, lower=True, eigvals_only=True,
+                                       select="i", select_range=(lo, hi))
+
+    floor = 64 * np.finfo(float).eps * max(eigs(n - 1, n - 1)[0], 1.0)
+    while True:
+        svals = np.sort(np.abs(eigs(n - rank, n - rank + want - 1)))
+        if want == rank or svals[-1] > floor:
+            return svals, floor
+        want = min(rank, 2 * want)
+
+
+def _band_factor_spectrum(svals, floor, dim, rank, k):
+    """(eigenvalues, kernel) of a dim-sized factor Laplacian from the
+    lowest singular values `svals` of its factor of rank <= `rank`.
+
+    Values at or below `floor` count as kernel, and the dim - rank
+    structural zeros are padded in.
+    """
+    lam = np.concatenate([np.zeros(dim - rank), svals**2])
+    kernel = dim - rank + int((svals <= floor).sum())
     lam[:kernel] = 0.0
-    if k is not None:
-        lam = lam[:k]
-    return lam, int(kernel)
+    return lam[: 10 if k is None else k], kernel
 
 
 def _factor_operator(b, form_degree):
@@ -501,7 +539,8 @@ def gluing_scan(f_triple, T, A_ladder, interface_r, cuts=(np.pi / 4, 7 * np.pi /
     For each amplitude in A_ladder the circle gets the odd interface
     deformation at both cuts; the piece between the cuts (minus plateau)
     carries absolute conditions, the complement relative ones. Eigenvalues
-    come from the factorized operators, paired in sorted order. Returns a
+    come from the factorized operators, the k lowest of the circle paired
+    in sorted order with the k lowest of the two pieces together. Returns a
     table per form degree with per-k gaps, plus the small-cluster count of
     the glued operator against the summed exact kernel dimensions of the
     pieces.
@@ -530,8 +569,8 @@ def gluing_scan(f_triple, T, A_ladder, interface_r, cuts=(np.pi / 4, 7 * np.pi /
         piece_rel = interval_problem(full, i1, i0 + full.n_nodes, "relative")
         # each factor is shared by all form degrees
         spec_full = _factor_spectra(full, form_degrees, k=k)
-        spec_abs = _factor_spectra(piece_abs, form_degrees)
-        spec_rel = _factor_spectra(piece_rel, form_degrees)
+        spec_abs = _factor_spectra(piece_abs, form_degrees, k=k)
+        spec_rel = _factor_spectra(piece_rel, form_degrees, k=k)
         for deg in form_degrees:
             lam_full, _ = spec_full[deg]
             la, ka = spec_abs[deg]
@@ -632,9 +671,9 @@ def small_eigenvalue_scan(f_triple, T_ladder, k_branches=1, n_nodes=None,
     ts_used = {j: [] for j in range(1, k_branches + 1)}
     for T in T_ladder:
         prob = circle_problem(f_triple, T, n_nodes=n_nodes, form_degree=0)
-        # the branch values are exponentially small: force the dense SVD of
-        # the factor, whose error is eps * sigma_max in sigma rather than
-        # eps * ||K|| in lambda
+        # the branch values are exponentially small: force the band
+        # bisection of the factor, whose error is eps * sigma_max in sigma
+        # rather than eps * ||K|| in lambda
         lam, kernel = factor_spectrum(prob, k=k_branches + kernel_guess(prob),
                                       dense_limit=6000)
         nonzero = lam[lam > 0]
@@ -738,9 +777,12 @@ def cubic_model_eigs(T, k, n_nodes=2000, form_degree=0):
     s = np.linspace(-ell, ell, n_nodes)
     prob = WittenProblem1D("interval", s, s**2, 2.0 * s, float(T), bc="absolute",
                            form_degree=form_degree)
-    mat = assemble(prob).toarray()
-    w = scipy.linalg.eigh(mat, eigvals_only=True)
-    return w[:k]
+    mat = assemble(prob)
+    # tridiagonal: bisection on the diagonal and the lower off-diagonal,
+    # the triangle a dense eigh reads
+    return scipy.linalg.eigh_tridiagonal(mat.diagonal(), mat.diagonal(-1),
+                                         eigvals_only=True, select="i",
+                                         select_range=(0, k - 1))
 
 
 def schauder_norm(b, n):

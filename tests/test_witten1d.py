@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from torsionlab import witten1d as W
 
@@ -259,13 +261,13 @@ def test_gluing_scan_matches_per_degree_factor_spectrum():
     for deg in (0, 1):
         for A, row in zip(ladder, out[deg]):
             full, piece_abs, piece_rel = _glue_problems(f_triple, T, A, r, n_nodes, deg)
-            # the ladder crosses the dense/sparse switch (dense_limit 1800):
-            # the circle is sparse, the relative piece dense, and the
-            # absolute piece is sparse in degree 0 and dense in degree 1
+            # the ladder crosses the band/sparse switch (dense_limit 1800):
+            # the circle is sparse, the relative piece banded, and the
+            # absolute piece is sparse in degree 0 and banded in degree 1
             assert W.assemble_factor(piece_abs).shape == (1800, 1801)
             lam, _ = W.factor_spectrum(full, k=k)
-            la, ka = W.factor_spectrum(piece_abs)
-            lb, kb = W.factor_spectrum(piece_rel)
+            la, ka = W.factor_spectrum(piece_abs, k=k)
+            lb, kb = W.factor_spectrum(piece_rel, k=k)
             split = np.sort(np.concatenate([la, lb]))[:k]
             assert row["A"] == A
             assert np.array_equal(row["lambda"], lam)
@@ -275,21 +277,55 @@ def test_gluing_scan_matches_per_degree_factor_spectrum():
             assert (row["kernel_abs"], row["kernel_rel"], row["kernel_sum"]) == (ka, kb, ka + kb)
 
 
-def test_gluing_scan_one_dense_svd_per_factor_and_rung(monkeypatch):
-    shapes = []
-    svals = W._factor_svals
+def test_gluing_scan_window_beyond_ten():
+    # the pieces are solved with the scan's k: at A=64 every factor takes
+    # the sparse path, which returns only 10 values when k is None
+    f_triple, T, A, r, k = cos2(0.05), 40.0, 64.0, 0.12, 20
+    out = W.gluing_scan(f_triple, T=T, A_ladder=[A], interface_r=r, k=k)
+    for deg in (0, 1):
+        full, piece_abs, piece_rel = _glue_problems(f_triple, T, A, r, None, deg)
+        assert min(W.assemble_factor(piece_abs).shape) > 1800
+        lam, _ = W.factor_spectrum(full, k=k)
+        la, _ = W.factor_spectrum(piece_abs, k=k)
+        lb, _ = W.factor_spectrum(piece_rel, k=k)
+        split = np.sort(np.concatenate([la, lb]))[:k]
+        row = out[deg][0]
+        assert len(row["lambda_split"]) == len(row["lambda"]) == k
+        assert np.allclose(row["lambda"], lam, rtol=1e-9, atol=1e-12)
+        assert np.allclose(row["lambda_split"], split, rtol=1e-9, atol=1e-12)
 
-    def counting(b):
-        shapes.append(b.shape)
-        return svals(b)
+
+def test_gluing_scan_one_band_solve_per_factor_and_rung(monkeypatch):
+    calls = []
+    solve = W._factor_svals
+
+    def counting(b, want):
+        calls.append((b.shape, want))
+        return solve(b, want)
 
     monkeypatch.setattr(W, "_factor_svals", counting)
     ladder = [1.0, 2.0, 4.0]
     W.gluing_scan(cos2(0.05), T=10.0, A_ladder=ladder, interface_r=0.12, k=7,
                   n_nodes=480)
-    # full circle, absolute and relative piece, each dense in both degrees
-    assert len(shapes) == 3 * len(ladder)
-    assert len(set(shapes)) == 3
+    # full circle, absolute and relative piece, each banded in both degrees,
+    # each with the window k + 2
+    assert len(calls) == 3 * len(ladder)
+    assert len({shape for shape, _ in calls}) == 3
+    assert {want for _, want in calls} == {9}
+
+
+def test_factor_svals_window_never_undercounts_kernel():
+    # 12 zero singular values: the first windows hold only kernel values
+    # and must widen until they reach a nonzero one
+    diag = np.concatenate([np.zeros(12), np.linspace(1.0, 2.0, 50)])
+    b = sp.diags(diag, 0, shape=(62, 63), format="csr")
+    svals, floor = W._factor_svals(b, 4)
+    assert floor == pytest.approx(128 * np.finfo(float).eps, rel=1e-15)
+    assert len(svals) == 16 and (svals[:12] == 0).all() and svals[12] > 0.9
+    for dim, structural in ((63, 1), (62, 0)):
+        lam, kernel = W._band_factor_spectrum(svals, floor, dim, 62, 14)
+        assert kernel == 12 + structural
+        assert (lam[:kernel] == 0).all() and (lam[kernel:] > 0.9).all()
 
 
 def _sturm_count(diag, off, x):
@@ -307,43 +343,114 @@ def _sturm_count(diag, off, x):
     return count
 
 
-def test_dense_factor_svd_accuracy_against_mpmath():
-    # oracle: 50-digit Sturm bisection on B B^T (tridiagonal) for the two
-    # lowest eigenvalues of the 1-form Laplacian of a double-well interval
-    # piece; the lowest is the tunnelling value, 1e-11 of sigma_max^2
+def _periodic_sturm_count(diag, off, x):
+    """Eigenvalues below x of the cyclic tridiagonal (diag, off), off[i]
+    coupling nodes i and i + 1 mod n: the inertia of the path on nodes
+    1..n-1 (its LDL^T) plus the sign of the Schur complement on node 0."""
     import mpmath
 
-    full = W.circle_problem(cos2(0.1), 60.0)
-    i0 = int(round(np.pi / 4 / full.h))
-    i1 = int(round(7 * np.pi / 4 / full.h))
-    piece = W.interval_problem(full, i0, i1, "absolute", form_degree=1)
-    b = W.assemble_factor(piece).toarray()
-    rows = b.shape[0]
-    lam, kernel = W.factor_spectrum(piece, k=2)
-    assert kernel == 0 and 0 < lam[0] < 1e-9 < lam[1]
-    sigma_max = np.linalg.svd(b, compute_uv=False).max()
+    n = len(diag)
+    count = 0
+    schur = diag[0] - x
+    d = z = None
+    for i in range(1, n):
+        u = (off[0] if i == 1 else 0) + (off[n - 1] if i == n - 1 else 0)
+        if d is None:
+            d, z = diag[i] - x, u
+        else:
+            ell = off[i - 1] / d
+            d = diag[i] - x - off[i - 1] * ell
+            z = u - ell * z
+        if d == 0:
+            d = mpmath.mpf(10) ** (-2 * mpmath.mp.dps)
+        count += d < 0
+        schur -= z * z / d
+    return count + (schur < 0)
+
+
+def _bisect_singular_value(count, j, guess):
+    """Square root of the j-th lowest eigenvalue (from 0) of B^T B or B B^T,
+    whose eigenvalue count below x is count(x), by bisection from
+    [guess / 2, 2 guess]."""
+    import mpmath
+
+    lo, hi = mpmath.mpf(guess) / 2, mpmath.mpf(guess) * 2
+    assert count(lo) <= j < count(hi)
+    while hi - lo > mpmath.mpf(10) ** -20 * hi:
+        mid = (lo + hi) / 2
+        if count(mid) >= j + 1:
+            hi = mid
+        else:
+            lo = mid
+    return mpmath.sqrt((lo + hi) / 2)
+
+
+def test_interval_factor_svals_relative_accuracy_against_mpmath():
+    # oracle: 50-digit Sturm bisection on B B^T (tridiagonal) for the two
+    # lowest eigenvalues of the 1-form Laplacian of a double-well interval
+    # piece; the lowest is the tunnelling value (5.04e-7 in sigma at T=80,
+    # where a dense SVD of the factor is 4.8e-7 off in relative terms)
+    import mpmath
+
+    eps = np.finfo(float).eps
+    for T in (60.0, 80.0):
+        full = W.circle_problem(cos2(0.1), T)
+        i0 = int(round(np.pi / 4 / full.h))
+        i1 = int(round(7 * np.pi / 4 / full.h))
+        piece = W.interval_problem(full, i0, i1, "absolute", form_degree=1)
+        b = W.assemble_factor(piece)
+        rows = b.shape[0]
+        lam, kernel = W.factor_spectrum(piece, k=2)
+        assert kernel == 0 and 0 < lam[0] < 1e-9 < lam[1]
+        with mpmath.workdps(50):
+            a = [mpmath.mpf(float(b[i, i])) for i in range(rows)]
+            c = [mpmath.mpf(float(b[i, i + 1])) for i in range(rows)]
+            diag = [a[i] ** 2 + c[i] ** 2 for i in range(rows)]
+            off = [c[i] * a[i + 1] for i in range(rows - 1)]
+            for j in range(2):
+                sigma = _bisect_singular_value(
+                    lambda x: _sturm_count(diag, off, x), j, lam[j])
+                # bisection on the zero-diagonal Golub-Kahan tridiagonal:
+                # relative accuracy however small sigma is
+                err = float(abs(mpmath.mpf(float(np.sqrt(lam[j]))) - sigma) / sigma)
+                assert err <= 16 * eps, (T, j, err / eps)
+
+
+def test_circle_factor_svals_against_periodic_mpmath():
+    # oracle: 50-digit periodic Sturm bisection on the cyclic tridiagonal
+    # B^T B of the circle factor, for its two lowest nonzero eigenvalues;
+    # the band of the cyclic factor is reduced by rotations, so the error
+    # is absolute, about eps * sigma_max
+    import mpmath
+
+    prob = W.circle_problem(cos2(0.1), 60.0)
+    b = W.assemble_factor(prob)
+    n = b.shape[0]
+    lam, kernel = W.factor_spectrum(prob, k=3)
+    assert kernel == 1 and lam[0] == 0 and 0 < lam[1] < 1e-8 < lam[2]
+    sigma_max = np.linalg.svd(b.toarray(), compute_uv=False).max()
     with mpmath.workdps(50):
-        a = [mpmath.mpf(float(b[i, i])) for i in range(rows)]
-        c = [mpmath.mpf(float(b[i, i + 1])) for i in range(rows)]
-        diag = [a[i] ** 2 + c[i] ** 2 for i in range(rows)]
-        off = [c[i] * a[i + 1] for i in range(rows - 1)]
-        for j in range(2):
-            lo, hi = mpmath.mpf(0), mpmath.mpf(2 * lam[j])
-            assert _sturm_count(diag, off, hi) >= j + 1
-            while hi - lo > mpmath.mpf(10) ** -25 * hi:
-                mid = (lo + hi) / 2
-                if _sturm_count(diag, off, mid) >= j + 1:
-                    hi = mid
-                else:
-                    lo = mid
-            sigma = float(mpmath.sqrt((lo + hi) / 2))
-            # backward stable: absolute error a few eps * sigma_max in
-            # sigma, so the relative error of lambda = sigma^2 is about
-            # 2 eps sigma_max / sigma (2.4e-9 here for the lowest value,
-            # against eps sigma_max^2 / lambda = 2.7e-2 for the assembled
-            # second-order operator)
-            err = abs(np.sqrt(lam[j]) - sigma)
-            assert err <= 8 * np.finfo(float).eps * sigma_max, (j, err / sigma)
+        a = [mpmath.mpf(float(b[i, i])) for i in range(n)]
+        c = [mpmath.mpf(float(b[i, (i + 1) % n])) for i in range(n)]
+        diag = [a[i] ** 2 + c[i - 1] ** 2 for i in range(n)]
+        off = [a[i] * c[i] for i in range(n)]
+        for j in (1, 2):
+            sigma = _bisect_singular_value(
+                lambda x: _periodic_sturm_count(diag, off, x), j, lam[j])
+            err = abs(np.sqrt(lam[j]) - float(sigma))
+            assert err <= 8 * np.finfo(float).eps * sigma_max, (j, err)
+
+
+def test_cubic_model_matches_dense_eigh():
+    for T in (1.0, 64.0):
+        for deg in (0, 1):
+            ell = T ** (-1.0 / 3.0)
+            s = np.linspace(-ell, ell, 1500)
+            prob = W.WittenProblem1D("interval", s, s**2, 2.0 * s, T,
+                                     bc="absolute", form_degree=deg)
+            ref = scipy.linalg.eigh(W.assemble(prob).toarray(), eigvals_only=True)[:6]
+            w = W.cubic_model_eigs(T, 6, n_nodes=1500, form_degree=deg)
+            assert np.abs(w - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 def _loop_sign_changes(vals, count_zero):
