@@ -85,8 +85,9 @@ class PiecewisePoly:
     coeffs[i] are monomial coefficients in (s - knots[i]) on
     [knots[i], knots[i+1]); the last piece extends to infinity. tables[k]
     holds the k-th derivative (k = 0, 1, 2) of every piece as one read-only
-    (n_pieces, max_degree + 1) array of coefficients, lowest power first,
-    zero-padded in the high powers; every evaluation reads these tables.
+    (n_pieces, max_degree + 1 - k) array of coefficients, lowest power
+    first, zero-padded in the high powers; every evaluation reads these
+    tables.
     """
 
     def __init__(self, knots, coeffs):
@@ -95,7 +96,7 @@ class PiecewisePoly:
         width = max(len(c) for c in self.coeffs)
         tables = []
         for order in range(3):
-            table = np.zeros((len(self.coeffs), width))
+            table = np.zeros((len(self.coeffs), max(width - order, 1)))
             for i, c in enumerate(self.coeffs):
                 fac = [math.perm(p, order) for p in range(order, len(c))]
                 table[i, : len(fac)] = np.multiply(fac, c[order:])
@@ -104,16 +105,32 @@ class PiecewisePoly:
         self._knot_array = _read_only(np.array(self.knots))
 
     def value(self, s):
-        return self._horner(s, 0)
+        return self.derivs(s, (0,))[0]
 
     def deriv(self, s):
-        return self._horner(s, 1)
+        return self.derivs(s, (1,))[0]
 
     def deriv2(self, s):
-        return self._horner(s, 2)
+        return self.derivs(s, (2,))[0]
+
+    def derivs(self, s, orders):
+        """Derivatives of the given orders at s, each piece located once.
+
+        Pieces are located in float64; the offset from the knot and the
+        Horner sweep run in the input's float dtype (longdouble is kept).
+        """
+        s = np.asarray(s)
+        if s.dtype.kind != "f":
+            s = s.astype(float)
+        rows = np.searchsorted(self._knot_array, s.astype(float), side="right") - 1
+        rows = np.clip(rows, 0, len(self.coeffs) - 1)
+        x = s - self._knot_array.astype(s.dtype, copy=False)[rows]
+        return tuple(_horner_rows(self.tables[k].astype(s.dtype, copy=False), rows, x)
+                     for k in orders)
 
     def eval_scalar(self, s, order):
-        """Plain-float Horner for hot scalar paths (ODE right-hand sides)."""
+        """Plain-float Horner at one point, for the ODE right-hand sides,
+        where the array path costs too much per call (see _value_grad_scalar)."""
         x = float(s)
         i = min(max(bisect.bisect_right(self.knots, x) - 1, 0), len(self.coeffs) - 1)
         dx = x - self.knots[i]
@@ -128,18 +145,6 @@ class PiecewisePoly:
         table = self.tables[order]
         left = _horner_rows(table, np.arange(len(self.coeffs) - 1), np.diff(self._knot_array))
         return left, table[1:, 0]
-
-    def _horner(self, s, order):
-        # pieces are located in float64; the offset from the knot and the
-        # Horner sweep run in the input's float dtype (longdouble is kept)
-        s = np.asarray(s)
-        if s.dtype.kind != "f":
-            s = s.astype(float)
-        rows = np.searchsorted(self._knot_array, s.astype(float), side="right") - 1
-        rows = np.clip(rows, 0, len(self.coeffs) - 1)
-        x = s - self._knot_array.astype(s.dtype, copy=False)[rows]
-        out = _horner_rows(self.tables[order].astype(s.dtype, copy=False), rows, x)
-        return out[()] if out.ndim == 0 else out
 
 
 def _read_only(a):
@@ -204,14 +209,6 @@ class ShapingProfiles:
     def q_value(self, s, A=None):
         A = self.params.A if A is None else A
         return A * self.q_shape.value(s)
-
-    def q_deriv(self, s, A=None):
-        A = self.params.A if A is None else A
-        return A * self.q_shape.deriv(s)
-
-    def q_deriv2(self, s, A=None):
-        A = self.params.A if A is None else A
-        return A * self.q_shape.deriv2(s)
 
 
 def _build_eta(p: ModelParams):
@@ -398,68 +395,83 @@ def build_profiles(p: ModelParams, verify=True):
 # model function evaluation
 # ---------------------------------------------------------------------------
 
-def eval_f(p: ModelParams, prof: ShapingProfiles, u, with_hessian=True):
-    """Value, gradient and (optionally) Hessian of the deformed model.
+def _model(p: ModelParams, prof: ShapingProfiles, us, with_hess=True):
+    """Values, gradients and (optionally) Hessians of the deformed model.
 
     f(u) = u0^3 - y u0 - |u^-|^2 + |u^+|^2 - eta(|u|) u1 + y etat(|u|) u0
            + A q_shape(|u|)
 
-    The profile terms are constant near the origin, so the radial chain rule
-    is only applied for |u| > 0; dtype follows u (longdouble supported for
-    the extended-precision residual checks).
+    us holds the points along a leading batch axis, and so do the results:
+    shapes (m,), (m, n+1) and (m, n+1, n+1), the last None without
+    with_hess. The dtype follows us (longdouble is kept for the
+    extended-precision residual checks, anything else becomes float64).
+    Every profile is constant near the origin, so the radial chain-rule
+    terms vanish at |u| = 0, where the divisions use 1 in place of |u|.
     """
-    u = np.asarray(u)
-    dt = u.dtype if u.dtype in (np.dtype(np.longdouble),) else np.dtype(float)
-    u = u.astype(dt)
-    n = p.n
-    i = p.i
-    y = dt.type(p.y)
-    sgn = np.ones(n + 1, dtype=dt)
-    sgn[1 : i + 1] = -1.0
+    us = np.asarray(us)
+    dt = us.dtype if us.dtype == np.longdouble else np.dtype(float)
+    us = us.astype(dt)
+    m, dim = us.shape
+    y, A = dt.type(p.y), dt.type(p.A)
+    sgn = np.ones(dim, dtype=dt)
+    sgn[1 : p.i + 1] = -1.0
     sgn[0] = 0.0
+    u0, u1 = us[:, 0], us[:, 1]
+    rho = np.sqrt(np.sum(us * us, axis=1))
+    r = np.where(rho > 0, rho, 1)
+    uh = us / r[:, None]
+    orders = (0, 1, 2) if with_hess else (0, 1)
+    eta = prof.eta.derivs(rho, orders)
+    et = prof.eta_tilde.derivs(rho, orders)
+    q = [A * c for c in prof.q_shape.derivs(rho, orders)]
 
-    val = u[0] ** 3 - y * u[0] + np.sum(sgn * u * u)
-    grad = 2.0 * sgn * u
-    grad[0] = 3.0 * u[0] ** 2 - y
-    hess = None
-    if with_hessian:
-        hess = np.diag(2.0 * sgn)
-        hess[0, 0] = 6.0 * u[0]
+    vals = u0**3 - y * u0 + np.sum(sgn * us * us, axis=1)
+    vals += -eta[0] * u1 + y * et[0] * u0 + q[0]
+    grads = 2.0 * sgn * us
+    grads[:, 0] = 3.0 * u0**2 - y
+    grads += -eta[1][:, None] * uh * u1[:, None]
+    grads[:, 1] -= eta[0]
+    grads += y * et[1][:, None] * uh * u0[:, None]
+    grads[:, 0] += y * et[0]
+    grads += q[1][:, None] * uh
+    if not with_hess:
+        return vals, grads, None
 
-    rho = np.sqrt(np.sum(u * u))
-    if rho > 0:
-        uhat = u / rho
-        eta_v = prof.eta._horner(rho, 0)
-        eta_d = prof.eta._horner(rho, 1)
-        eta_dd = prof.eta._horner(rho, 2)
-        et_v = prof.eta_tilde._horner(rho, 0)
-        et_d = prof.eta_tilde._horner(rho, 1)
-        et_dd = prof.eta_tilde._horner(rho, 2)
-        q_d = dt.type(p.A) * prof.q_shape._horner(rho, 1)
-        q_dd = dt.type(p.A) * prof.q_shape._horner(rho, 2)
-        val += -eta_v * u[1] + y * et_v * u[0] + dt.type(p.A) * prof.q_shape._horner(rho, 0)
-        e1 = np.zeros(n + 1, dtype=dt)
-        e1[1] = 1.0
-        e0 = np.zeros(n + 1, dtype=dt)
-        e0[0] = 1.0
-        grad += -eta_d * uhat * u[1] - eta_v * e1
-        grad += y * (et_d * uhat * u[0] + et_v * e0)
-        grad += q_d * uhat
-        if with_hessian:
-            proj = (np.eye(n + 1, dtype=dt) - np.outer(uhat, uhat)) / rho
-            radial = np.outer(uhat, uhat)
-            hess += -u[1] * (eta_dd * radial + eta_d * proj)
-            hess += -eta_d * (np.outer(uhat, e1) + np.outer(e1, uhat))
-            hess += y * u[0] * (et_dd * radial + et_d * proj)
-            hess += y * et_d * (np.outer(uhat, e0) + np.outer(e0, uhat))
-            hess += q_dd * radial + q_d * proj
-    else:
-        val += dt.type(p.A) * prof.q_shape._horner(dt.type(0.0), 0)
-    return (val, grad, hess) if with_hessian else (val, grad)
+    def col(v):
+        return v[:, None, None]
+
+    eye = np.eye(dim, dtype=dt)
+    radial = uh[:, :, None] * uh[:, None, :]
+    proj = (eye - radial) / col(r)
+    cross1 = uh[:, :, None] * eye[1] + eye[1][:, None] * uh[:, None, :]
+    cross0 = uh[:, :, None] * eye[0] + eye[0][:, None] * uh[:, None, :]
+    hesss = np.tile(np.diag(2.0 * sgn), (m, 1, 1))
+    hesss[:, 0, 0] = 6.0 * u0
+    hesss += -col(u1) * (col(eta[2]) * radial + col(eta[1]) * proj)
+    hesss += -col(eta[1]) * cross1
+    hesss += y * col(u0) * (col(et[2]) * radial + col(et[1]) * proj)
+    hesss += y * col(et[1]) * cross0
+    hesss += col(q[2]) * radial + col(q[1]) * proj
+    return vals, grads, hesss
+
+
+def eval_f(p: ModelParams, prof: ShapingProfiles, u, with_hessian=True):
+    """Value, gradient and (optionally) Hessian of the deformed model at one
+    point u, in u's dtype: the batch-of-one view of `_model`."""
+    val, grad, hess = _model(p, prof, np.asarray(u)[None], with_hess=with_hessian)
+    return (val[0], grad[0], hess[0]) if with_hessian else (val[0], grad[0])
 
 
 def _value_grad_scalar(p: ModelParams, prof: ShapingProfiles, u):
-    """Fast (value, gradient) at one point for ODE right-hand sides."""
+    """(value, gradient) at one point in plain floats, for ODE right-hand sides.
+
+    The same formula as `_model` without the Hessian, kept apart for speed:
+    one call costs about 20 us here against about 115 us for a batch of one
+    through `_model` (2-core x86 VM, numpy 2.4), and a `forward_trap_check`
+    of two trajectories to t = 5 makes 3.1k-6.1k such calls (A from 1000 to
+    2000), so the batched kernel would add about 0.3-0.6 s to a check that
+    takes 0.1-0.2 s.
+    """
     n, i, y, A = p.n, p.i, p.y, p.A
     u = np.asarray(u, dtype=float)
     sgn = np.ones(n + 1)
@@ -484,61 +496,6 @@ def _value_grad_scalar(p: ModelParams, prof: ShapingProfiles, u):
     else:
         val += A * prof.q_shape.eval_scalar(0.0, 0)
     return val, grad
-
-
-def _grad_batch(p: ModelParams, prof: ShapingProfiles, us, with_hess=True):
-    """Gradients and (optionally) Hessians for a batch of points."""
-    us = np.asarray(us, dtype=float)
-    m, dim = us.shape
-    n, i, y, A = p.n, p.i, p.y, p.A
-    sgn = np.ones(dim)
-    sgn[1 : i + 1] = -1.0
-    sgn[0] = 0.0
-    grads = 2.0 * sgn[None, :] * us
-    grads[:, 0] = 3.0 * us[:, 0] ** 2 - y
-    hesss = None
-    if with_hess:
-        hesss = np.zeros((m, dim, dim))
-        hesss[:] = np.diag(2.0 * sgn)[None]
-        hesss[:, 0, 0] = 6.0 * us[:, 0]
-
-    rho = np.linalg.norm(us, axis=1)
-    pos = rho > 0
-    if pos.any():
-        r = rho[pos]
-        uh = us[pos] / r[:, None]
-        eta_v, eta_d, eta_dd = (prof.eta._horner(r, k) for k in range(3))
-        et_v, et_d, et_dd = (prof.eta_tilde._horner(r, k) for k in range(3))
-        q_d = A * prof.q_shape._horner(r, 1)
-        q_dd = A * prof.q_shape._horner(r, 2)
-        u1 = us[pos, 1]
-        u0 = us[pos, 0]
-        g = grads[pos]
-        g += -eta_d[:, None] * uh * u1[:, None]
-        g[:, 1] -= eta_v
-        g += y * et_d[:, None] * uh * u0[:, None]
-        g[:, 0] += y * et_v
-        g += q_d[:, None] * uh
-        grads[pos] = g
-        if not with_hess:
-            return grads, None
-        h = hesss[pos]
-        eye = np.eye(dim)[None]
-        radial = uh[:, :, None] * uh[:, None, :]
-        proj = (eye - radial) / r[:, None, None]
-        e1 = np.zeros(dim)
-        e1[1] = 1.0
-        e0 = np.zeros(dim)
-        e0[0] = 1.0
-        cross1 = uh[:, :, None] * e1[None, None, :] + e1[None, :, None] * uh[:, None, :]
-        cross0 = uh[:, :, None] * e0[None, None, :] + e0[None, :, None] * uh[:, None, :]
-        h += -u1[:, None, None] * (eta_dd[:, None, None] * radial + eta_d[:, None, None] * proj)
-        h += -eta_d[:, None, None] * cross1
-        h += y * u0[:, None, None] * (et_dd[:, None, None] * radial + et_d[:, None, None] * proj)
-        h += y * et_d[:, None, None] * cross0
-        h += q_dd[:, None, None] * radial + q_d[:, None, None] * proj
-        hesss[pos] = h
-    return grads, hesss
 
 
 @dataclass
@@ -586,6 +543,15 @@ def _newton_seeds(p: ModelParams, n_random=1000, n_angles=24):
     return np.array(seeds), np.array(shell_ids)
 
 
+def _damped_steps(hesss, grads, lam):
+    """Levenberg-damped Newton steps (H + lam I)^-1 g over a batch."""
+    h = hesss + lam * np.eye(hesss.shape[-1])[None]
+    try:
+        return np.linalg.solve(h, grads[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return np.stack([np.linalg.lstsq(hh, gg, rcond=None)[0] for hh, gg in zip(h, grads)])
+
+
 def find_critical_points(p: ModelParams, prof: ShapingProfiles, max_iter=80,
                          n_random=1000):
     """Deterministic multistart Newton census, deduplicated and classified.
@@ -593,7 +559,8 @@ def find_critical_points(p: ModelParams, prof: ShapingProfiles, max_iter=80,
     Seeds: radial shells x angular net in the (u0, u1) plane plus a fixed
     batch of full-dimensional random points (seeded RNG). Damped Newton on
     the gradient; points are kept when the residual reaches
-    1e-11 (1 + A) and deduplicated at distance 1e-6.
+    1e-11 (1 + A), deduplicated at distance 1e-6, and dropped when one
+    more damped Newton step would still move them by more than 1e-7.
     """
     if p.A < 100:
         warnings.warn("census is only reliable for large deformation A (>= 100)")
@@ -610,14 +577,8 @@ def find_critical_points(p: ModelParams, prof: ShapingProfiles, max_iter=80,
         rows = np.where(alive)[0]
         if rows.size == 0:
             break
-        grads, hesss = _grad_batch(p, prof, us[rows])
-        h = hesss + lam * np.eye(p.n + 1)[None]
-        try:
-            steps = np.linalg.solve(h, grads[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            steps = np.stack(
-                [np.linalg.lstsq(hh, gg, rcond=None)[0] for hh, gg in zip(h, grads)]
-            )
+        _, grads, hesss = _model(p, prof, us[rows])
+        steps = _damped_steps(hesss, grads, lam)
         ln = np.linalg.norm(steps, axis=1)
         big = ln > cap
         steps[big] *= (cap / ln[big])[:, None]
@@ -629,7 +590,7 @@ def find_critical_points(p: ModelParams, prof: ShapingProfiles, max_iter=80,
         frozen = ln < 1e-15
         alive[rows[frozen & ~runaway]] = False
 
-    grads, _ = _grad_batch(p, prof, us, with_hess=False)
+    _, grads, _ = _model(p, prof, us, with_hess=False)
     gnorm = np.linalg.norm(grads, axis=1)
     ok = gnorm <= tol
     found = us[ok]
@@ -640,30 +601,32 @@ def find_critical_points(p: ModelParams, prof: ShapingProfiles, max_iter=80,
             warnings.warn(f"incomplete census: no convergence from shell {si}")
 
     # dedup at distance 1e-6, keeping the smallest-residual representative
-    order = np.argsort(found_res)
-    unique = []
-    for k in order:
-        u = found[k]
-        if all(np.linalg.norm(u - v) > 1e-6 for v in unique):
-            unique.append(u)
+    reps = []
+    for k in np.argsort(found_res):
+        if all(np.linalg.norm(found[k] - found[j]) > 1e-6 for j in reps):
+            reps.append(k)
+    locs, res = found[reps], found_res[reps]
+    vals, grads, hesss = _model(p, prof, locs)
+    # a seed that runs out of iterations on the degenerate u0 direction of
+    # a birth-death point, with |u0| of 1e-6 to 1e-5, passes the residual
+    # test (3 u0^2 <= tol) outside the dedup ball of the exact point; its
+    # next step, about u0 / 2, tells it apart
+    keep = np.linalg.norm(_damped_steps(hesss, grads, lam), axis=1) <= 1e-7
     pts = []
-    for u in unique:
-        val, grad, hess = eval_f(p, prof, u)
-        spec = np.linalg.eigvalsh(hess)
+    for u, val, spec, r in zip(locs[keep], vals[keep], np.linalg.eigvalsh(hesss[keep]),
+                               res[keep]):
         # reference scale: second-largest magnitude, so the single
         # deformation-scaled eigenvalue ~A does not mask the O(delta) ones
         mags = np.sort(np.abs(spec))
         ref = max(1.0, mags[-2] if len(mags) > 1 else mags[-1])
-        bd = mags[0] < DEGENERACY_RTOL * ref
-        index = int((spec < 0).sum())
         pts.append(
             CriticalPoint(
-                location=u.copy(),
+                location=u,
                 value=float(val),
                 hessian_spectrum=spec,
-                morse_index=index,
-                birth_death=bool(bd),
-                newton_residual=float(np.linalg.norm(grad)),
+                morse_index=int((spec < 0).sum()),
+                birth_death=bool(mags[0] < DEGENERACY_RTOL * ref),
+                newton_residual=float(r),
             )
         )
     pts.sort(key=lambda c: c.value)
@@ -738,7 +701,7 @@ def radial_derivative_check(p: ModelParams, prof: ShapingProfiles, n_samples=100
     dirs = rng.normal(size=(n_samples, p.n + 1))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     us = rho[:, None] * dirs
-    grads, _ = _grad_batch(p, prof, us, with_hess=False)
+    _, grads, _ = _model(p, prof, us, with_hess=False)
     return float(np.min(np.sum(grads * dirs, axis=1)))
 
 

@@ -287,7 +287,7 @@ def parse_config(experiment, file_path=None, overrides=()):
     return values
 
 
-def _write_outputs(outdir, rows, header, extra, config_record):
+def _write_outputs(outdir, rows, header, extra):
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "result.csv")
     with open(csv_path, "w", newline="") as fh:
@@ -334,7 +334,7 @@ def cmd_run(args):
     digest = hashlib.sha256(
         json.dumps(config_record, sort_keys=True).encode()
     ).hexdigest()
-    csv_path = _write_outputs(args.output_dir, rows, header, extra, config_record)
+    csv_path = _write_outputs(args.output_dir, rows, header, extra)
     if spectra is not None:
         with open(os.path.join(args.output_dir, "spectra.csv"), "w", newline="") as fh:
             fh.write(",".join(spectra["header"]) + "\n")

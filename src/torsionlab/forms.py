@@ -142,13 +142,8 @@ def constant_family(fiber: GradedComplex, m: int, transport=None):
 
 
 # ---------------------------------------------------------------------------
-# supertrace and matrix-function helpers
+# matrix-function helpers
 # ---------------------------------------------------------------------------
-
-def supertrace(fam: SuperconnectionFamily, mat):
-    """Tr_s of a matrix on the total space, i.e. Tr[(-1)^N mat]."""
-    return complex(np.sum(fam.fibers[0].sign_weights() * np.diag(mat)))
-
 
 def _h_prime_mat(x):
     """(1 + 2 X^2) exp(X^2) for a square matrix X."""
@@ -344,25 +339,27 @@ def _trapezoid_weights_log(ts):
 # harmonic bundle and anomaly residual
 # ---------------------------------------------------------------------------
 
-def _harmonic_bases(fam: SuperconnectionFamily):
-    """Per sample, per degree: G-orthonormal basis of ker(Laplacian_k)."""
+def _harmonic_basis(fib: GradedComplex):
+    """Per degree: G-orthonormal basis of ker(Laplacian_k) of one fiber."""
     from .graded import _laplacian_pencil, _split_spectrum
 
-    bases = []
-    for fib in fam.fibers:
-        per_deg = []
-        for k in range(len(fib.ranks)):
-            r = fib.ranks[k]
-            if r == 0:
-                per_deg.append(np.zeros((0, 0), dtype=complex))
-                continue
-            mmat, g = _laplacian_pencil(fib, k)
-            w, vecs = scipy.linalg.eigh(mmat, g)
-            _, nonzero = _split_spectrum(w, check_band=False)
-            ker = r - nonzero.size
-            per_deg.append(vecs[:, :ker])  # eigh(.., g) returns G-orthonormal
-        bases.append(per_deg)
-    return bases
+    per_deg = []
+    for k in range(len(fib.ranks)):
+        r = fib.ranks[k]
+        if r == 0:
+            per_deg.append(np.zeros((0, 0), dtype=complex))
+            continue
+        mmat, g = _laplacian_pencil(fib, k)
+        w, vecs = scipy.linalg.eigh(mmat, g)
+        _, nonzero = _split_spectrum(w, check_band=False)
+        ker = r - nonzero.size
+        per_deg.append(vecs[:, :ker])  # eigh(.., g) returns G-orthonormal
+    return per_deg
+
+
+def _has_harmonics(fam: SuperconnectionFamily):
+    """Whether the first fiber has cohomology (flat families: every fiber)."""
+    return any(b.size for b in _harmonic_basis(fam.fibers[0]))
 
 
 def harmonic_connection_form(fam: SuperconnectionFamily):
@@ -374,7 +371,7 @@ def harmonic_connection_form(fam: SuperconnectionFamily):
     Tr_s[W_H] (h'(0) = 1).
     """
     m = fam.n_samples
-    bases = _harmonic_bases(fam)
+    bases = [_harmonic_basis(fib) for fib in fam.fibers]
     off = fam.fibers[0].offsets()
     out = np.zeros(m, dtype=complex)
     for j in range(m):
@@ -406,10 +403,7 @@ def anomaly_check(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200):
     tl = torsion_form_TL(fam, tau, t_max=t_max, n_t=n_t)
     lhs = tl.dS()
     rhs = h_form(fam, t_scale=tau).degree1
-    h_dims = [
-        b.shape[1] if b.size else 0 for b in _harmonic_bases(fam)[0]
-    ]
-    if any(h_dims):
+    if _has_harmonics(fam):
         rhs = rhs - harmonic_connection_form(fam)
     res = lhs - rhs
     return {
@@ -477,8 +471,7 @@ def grr_residual(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200):
     """
     tl = torsion_form_TL(fam, tau, t_max=t_max, n_t=n_t)
     lhs = tl.dS()
-    h_dims = [b.shape[1] if b.size else 0 for b in _harmonic_bases(fam)[0]]
-    gm = harmonic_connection_form(fam) if any(h_dims) else np.zeros(fam.n_samples)
+    gm = harmonic_connection_form(fam) if _has_harmonics(fam) else np.zeros(fam.n_samples)
     res = lhs + gm
     local = h_form(fam, t_scale=tau).degree1
     return {

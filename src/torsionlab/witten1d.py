@@ -655,8 +655,7 @@ def critical_neighborhood_mask(f_triple, s, width=0.3):
     return mask
 
 
-def small_eigenvalue_scan(f_triple, T_ladder, k_branches=1, n_nodes=None,
-                          well_width=0.3, underflow=1e-14):
+def small_eigenvalue_scan(f_triple, T_ladder, k_branches=1, n_nodes=None, underflow=1e-14):
     """Fit the exponential decay of the tunneling branch against the Agmon
     prediction.
 

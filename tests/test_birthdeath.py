@@ -143,6 +143,20 @@ def test_eval_at_origin(setup):
     assert (spec < 0).sum() == p.i
 
 
+def test_eval_f_is_a_row_of_the_batched_kernel(setup):
+    # one point through eval_f and the same point inside a batch, origin
+    # included, give the same bits in both dtypes
+    p, prof, _ = setup
+    rng = np.random.default_rng(5)
+    us = np.vstack([np.zeros(p.n + 1), rng.normal(size=(5, p.n + 1)) * 0.05])
+    for dt in (np.float64, np.longdouble):
+        batch = B._model(p, prof, us.astype(dt))
+        for k, u in enumerate(us.astype(dt)):
+            for one, many in zip(B.eval_f(p, prof, u), batch):
+                assert one.dtype == dt
+                assert np.array_equal(one, many[k])
+
+
 def test_cubic_pair_critical_point():
     y = 0.5 * DELTA**2
     p = B.ModelParams(y=y, A=0.0, **PARAMS)
@@ -305,6 +319,24 @@ def test_census_grid():
                 warnings.simplefilter("ignore")
                 census = B.find_critical_points(p, prof, n_random=200)
             assert len(census) == want, (r1, r2, d, y, len(census))
+
+
+def test_census_counts_birth_death_point_once():
+    # amplitudes at which Newton seeds on the degenerate u0 direction stop
+    # at |u0| of 1e-6 to 2e-5: residual-converged, but outside the dedup
+    # ball of the birth-death point at the origin
+    amplitudes = [1074.0091221758505, 1731.4881308841054, 1173.0566375704902,
+                  1246.282624578187, 1139.951369116845, 1263.8224285040108,
+                  1670.677274640198, 1954.193300339821]
+    for A in amplitudes:
+        p = B.ModelParams(y=0.0, A=A, **PARAMS)
+        prof = B.build_profiles(p, verify=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            census = B.find_critical_points(p, prof, n_random=200)
+        bd_pts = [c for c in census if c.birth_death]
+        assert len(census) == 7, (A, len(census))
+        assert len(bd_pts) == 1 and bd_pts[0].morse_index == p.i, A
 
 
 def test_census_records_roundtrip(setup):

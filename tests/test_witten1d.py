@@ -4,14 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from torsionlab import witten1d as W
-
-
-def cos2(a):
-    return (
-        lambda s: a * np.cos(2 * s),
-        lambda s: -2 * a * np.sin(2 * s),
-        lambda s: -4 * a * np.cos(2 * s),
-    )
+from torsionlab.acceptance import _cos2 as cos2
 
 
 ZERO = (lambda s: 0.0 * s, lambda s: 0.0 * s, lambda s: 0.0 * s)
