@@ -16,7 +16,10 @@ gives every singular value to a few eps relative, however small it is. On
 the circle B is cyclic and its band is reduced to tridiagonal form by
 rotations first, so a singular value there has an absolute error of about
 eps * sigma_max, and values below that are noise. Both claims are checked
-against 50-digit mpmath oracles in the tests.
+against 50-digit mpmath oracles in the tests. A factor whose rank exceeds
+the band limit is solved instead by shift-invert Lanczos on its rank-sized
+Gram operator, to eps * ||op|| absolute. Either way B is solved once, and
+both form degrees read that one solve.
 
 Boundary conditions on an interval piece: 'absolute' is Neumann for 0-forms
 and Dirichlet for 1-forms, 'relative' the swap.
@@ -185,27 +188,26 @@ class WittenProblem1D:
 
 
 def circle_problem(f_triple, T, n_nodes=None, A=0.0, interface=None,
-                   form_degree=0, oversample=1.0):
+                   form_degree=0):
     """Build a circle problem from callables (f, f', f'').
 
     interface = (cuts, r, profile) adds the odd deformation around each cut
     with alternating sign, so the potential is single-valued: the piece
     between cuts[0] and cuts[1] is the minus side.
     """
-    f, fp, fpp = f_triple
+    _, fp, fpp = f_triple
     probe = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
     fp_max = np.abs(fp(probe)).max()
     if interface is not None:
-        cuts, r, prof = interface
+        cuts, _, prof = interface
         fp_max += prof.A * prof.max_slope
     if n_nodes is None:
         h_max = 0.1 / (T * fp_max + 1.0)
-        n_nodes = int(np.ceil(2 * np.pi / h_max * oversample))
+        n_nodes = int(np.ceil(2 * np.pi / h_max))
     s = np.linspace(0, 2 * np.pi, n_nodes, endpoint=False)
     fps = fp(s).astype(float)
     fpps = fpp(s).astype(float)
     if interface is not None:
-        cuts, r, prof = interface
         pp, ppp = interface_samples(s, cuts, prof)
         fps = fps + pp
         fpps = fpps + ppp
@@ -343,42 +345,46 @@ def assemble_factor(problem: WittenProblem1D):
 def factor_spectrum(problem: WittenProblem1D, k=None, dense_limit=1800):
     """Low spectrum of the factorized Witten Laplacian.
 
-    For form_degree 0 the operator is B^H B, for 1 it is B B^H; exact
-    kernel dimensions follow from the factor shape and rank. Sizes up to
-    dense_limit take the lowest singular values of the factor by banded
-    Golub-Kahan bisection, to a few eps relative on an interval piece and
-    to about eps * sigma_max absolute on the circle (see the module
-    docstring); larger sizes fall back to sparse shift-invert on the
-    second-order operator and clamp eigenvalues below the backward-error
-    floor eps * ||K|| to zero. The k lowest eigenvalues are returned; with
-    k=None both paths return at most 10.
+    For form_degree 0 the operator is B^H B, for 1 it is B B^H; both
+    degrees read one solve of B (see _factor_spectra), so they share every
+    nonzero value bit for bit, and exact kernel dimensions follow from the
+    factor shape and rank. Factors of rank up to dense_limit take their
+    lowest singular values by banded Golub-Kahan bisection, to a few eps
+    relative on an interval piece and to about eps * sigma_max absolute on
+    the circle (see the module docstring); larger factors take sparse
+    shift-invert Lanczos on the rank-sized Gram operator, to eps * ||op||
+    absolute, and clamp its values below the roundoff floor
+    30 eps * ||op|| to zero. The k lowest eigenvalues are returned with
+    the kernel dimension; with k=None at most 10. k < 1 is refused.
     """
-    return _factor_spectra(problem, (problem.form_degree,), k, dense_limit)[
-        problem.form_degree
-    ]
+    return _factor_spectra(problem, k, dense_limit)[problem.form_degree]
 
 
-def _factor_spectra(problem: WittenProblem1D, degrees, k=None, dense_limit=1800):
-    """factor_spectrum of `problem` in each form degree of `degrees`.
+def _factor_spectra(problem: WittenProblem1D, k=None, dense_limit=1800):
+    """factor_spectrum of `problem` in form degrees 0 and 1, in that order.
 
-    B does not depend on the form degree, and B^H B and B B^H share its
-    nonzero singular values, so the band solve runs at most once. The
-    band/sparse choice stays per degree (dim <= dense_limit).
+    B does not depend on the form degree, and B^H B and B B^H share the
+    squares of its rank = min(B.shape) singular values; they differ only
+    in their dim - rank structural zeros. So B is solved once: by band
+    bisection when rank <= dense_limit, else by one shift-invert eigsh on
+    the Gram operator of size rank, the one with no structural kernel.
     """
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     b = assemble_factor(problem)
     rows, cols = b.shape
     rank = min(rows, cols)
-    svals = None
-    out = {}
-    for deg in degrees:
-        dim = cols if deg == 0 else rows
-        if dim <= dense_limit:
-            if svals is None:
-                svals, floor = _factor_svals(b, min(rank, (k or 8) + 2))
-            out[deg] = _band_factor_spectrum(svals, floor, dim, rank, k)
-        else:
-            out[deg] = _sparse_factor_spectrum(b, deg, dim, k)
-    return out
+    want = (k or 8) + 2
+    if rank <= dense_limit:
+        svals, floor = _factor_svals(b, min(rank, want))
+        lam, n_zero = svals**2, int((svals <= floor).sum())
+    else:
+        op, shift, clamp, v0 = _factor_operator(b, 0 if rows >= cols else 1)
+        lam = np.sort(spla.eigsh(op, k=min(rank - 2, want), sigma=shift, which="LM",
+                                 v0=v0, return_eigenvectors=False))
+        lam[np.abs(lam) < clamp] = 0.0
+        n_zero = int((lam == 0.0).sum())
+    return tuple(_padded_spectrum(lam, n_zero, dim, rank, k) for dim in (cols, rows))
 
 
 def _golub_kahan_band(b):
@@ -420,15 +426,13 @@ def _factor_svals(b, want):
         want = min(rank, 2 * want)
 
 
-def _band_factor_spectrum(svals, floor, dim, rank, k):
+def _padded_spectrum(lam, n_zero, dim, rank, k):
     """(eigenvalues, kernel) of a dim-sized factor Laplacian from the
-    lowest singular values `svals` of its factor of rank <= `rank`.
-
-    Values at or below `floor` count as kernel, and the dim - rank
-    structural zeros are padded in.
-    """
-    lam = np.concatenate([np.zeros(dim - rank), svals**2])
-    kernel = dim - rank + int((svals <= floor).sum())
+    lowest eigenvalues `lam` (ascending) of its rank-sized Gram operator,
+    the first n_zero of which count as zero: the dim - rank structural
+    zeros are padded in, and the kernel is dim - rank + n_zero."""
+    lam = np.concatenate([np.zeros(dim - rank), lam])
+    kernel = dim - rank + n_zero
     lam[:kernel] = 0.0
     return lam[: 10 if k is None else k], kernel
 
@@ -445,21 +449,14 @@ def _factor_operator(b, form_degree):
     return op, -1e-6 * norm_est, 30.0 * np.finfo(float).eps * norm_est, v0
 
 
-def _sparse_factor_spectrum(b, form_degree, dim, k):
-    """(eigenvalues, kernel) from shift-invert Lanczos on the factor
-    Laplacian; values below the roundoff floor are clamped to zero."""
-    op, shift, clamp, v0 = _factor_operator(b, form_degree)
-    want = min(dim - 2, (k or 8) + 2)
-    w = spla.eigsh(op, k=want, sigma=shift, which="LM", v0=v0,
-                   return_eigenvectors=False)
-    w = np.sort(w)
-    w[np.abs(w) < clamp] = 0.0
-    kernel = int((w == 0.0).sum())
-    structural = dim - min(b.shape)
-    kernel = max(kernel, structural)
-    if k is not None:
-        w = w[:k]
-    return w, int(kernel)
+def _checked_residuals(op, w, vecs):
+    """Residuals ||op v - lambda v|| of the eigenpairs (w, vecs); raises
+    RuntimeError where one exceeds 1e-8 max(1, |lambda|) ||v||."""
+    residuals = np.linalg.norm(op @ vecs - vecs * w, axis=0)
+    for j, res in enumerate(residuals):
+        if res > 1e-8 * max(1.0, abs(w[j])) * np.linalg.norm(vecs[:, j]):
+            raise RuntimeError(f"eigenpair {j} residual {res:.3e} too large")
+    return residuals
 
 
 def factor_eigenpairs(problem: WittenProblem1D, k):
@@ -470,8 +467,10 @@ def factor_eigenpairs(problem: WittenProblem1D, k):
     below the roundoff floor 30 eps ||op|| are clamped to zero, as in
     factor_spectrum. Residuals ||op v - lambda v|| are checked at
     1e-8 max(1, |lambda|), the gate of spectrum(); metadata['residuals']
-    holds them.
+    holds them. k < 1 is refused.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     op, shift, clamp, v0 = _factor_operator(assemble_factor(problem),
                                             problem.form_degree)
     w, vecs = spla.eigsh(op, k=min(op.shape[0] - 2, k + 2), sigma=shift,
@@ -479,10 +478,7 @@ def factor_eigenpairs(problem: WittenProblem1D, k):
     order = np.argsort(w)[:k]
     w, vecs = w[order], vecs[:, order]
     w[np.abs(w) < clamp] = 0.0
-    residuals = np.linalg.norm(op @ vecs - vecs * w, axis=0)
-    for j, res in enumerate(residuals):
-        if res > 1e-8 * max(1.0, abs(w[j])) * np.linalg.norm(vecs[:, j]):
-            raise RuntimeError(f"eigenpair {j} residual {res:.3e} too large")
+    residuals = _checked_residuals(op, w, vecs)
     return SpectrumResult(
         eigenvalues=w,
         eigenvectors=vecs,
@@ -513,10 +509,7 @@ def spectrum(problem: WittenProblem1D, k):
         w, vecs = spla.eigsh(mat, k=k, sigma=shift, which="LM", v0=v0)
         order = np.argsort(w)
         w, vecs = w[order], vecs[:, order]
-    for j in range(len(w)):
-        res = np.linalg.norm(mat @ vecs[:, j] - w[j] * vecs[:, j])
-        if res > 1e-8 * max(1.0, abs(w[j])) * np.linalg.norm(vecs[:, j]):
-            raise RuntimeError(f"eigenpair {j} residual {res:.3e} too large")
+    _checked_residuals(mat, w, vecs)
     kernel_tol = max(1e-8, 2e-6 * max(np.abs(w).max(), 1.0))
     kernel = int((w < kernel_tol).sum())
     return SpectrumResult(
@@ -533,23 +526,24 @@ def spectrum(problem: WittenProblem1D, k):
 # ---------------------------------------------------------------------------
 
 def gluing_scan(f_triple, T, A_ladder, interface_r, cuts=(np.pi / 4, 7 * np.pi / 4),
-                k=8, n_nodes=None, form_degrees=(0, 1)):
+                k=8, n_nodes=None):
     """Compare the full-circle spectrum with the split abs/rel problems.
 
     For each amplitude in A_ladder the circle gets the odd interface
     deformation at both cuts; the piece between the cuts (minus plateau)
     carries absolute conditions, the complement relative ones. Eigenvalues
-    come from the factorized operators, the k lowest of the circle paired
-    in sorted order with the k lowest of the two pieces together. Returns a
-    table per form degree with per-k gaps, plus the small-cluster count of
-    the glued operator against the summed exact kernel dimensions of the
-    pieces.
+    come from the factorized operators (factor_spectrum: band bisection up
+    to rank 1800, shift-invert Lanczos to eps * ||op|| absolute beyond),
+    the k lowest of the circle paired in sorted order with the k lowest of
+    the two pieces together. Each factor is solved once per rung, and both
+    form degrees read that solve, so their nonzero values agree bit for
+    bit. Returns a table per form degree (0 and 1) with per-k gaps, plus
+    the small-cluster count of the glued operator against the summed exact
+    kernel dimensions of the pieces.
     """
     if not all(a2 > a1 for a1, a2 in zip(A_ladder, A_ladder[1:])):
         raise ValueError("A_ladder must be increasing")
-    if any(deg not in (0, 1) for deg in form_degrees):
-        raise ValueError("form_degree must be 0 or 1")
-    f, fp, fpp = f_triple
+    _, fp, _ = f_triple
     # interfaces must avoid critical points of f
     probe = np.linspace(0, 2 * np.pi, 8192, endpoint=False)
     fps = fp(probe)
@@ -557,7 +551,7 @@ def gluing_scan(f_triple, T, A_ladder, interface_r, cuts=(np.pi / 4, 7 * np.pi /
     for c in cuts:
         if crit.size and np.min(np.abs((crit - c + np.pi) % (2 * np.pi) - np.pi)) < 2.2 * interface_r:
             raise ValueError(f"interface at {c:.3f} sits too close to a critical point")
-    out = {deg: [] for deg in form_degrees}
+    out = {0: [], 1: []}
     for A in A_ladder:
         prof = build_p_profile(A, interface_r)
         full = circle_problem(f_triple, T, n_nodes=n_nodes, A=A,
@@ -567,14 +561,9 @@ def gluing_scan(f_triple, T, A_ladder, interface_r, cuts=(np.pi / 4, 7 * np.pi /
         i1 = int(round(cuts[1] / full.h))
         piece_abs = interval_problem(full, i0, i1, "absolute")
         piece_rel = interval_problem(full, i1, i0 + full.n_nodes, "relative")
-        # each factor is shared by all form degrees
-        spec_full = _factor_spectra(full, form_degrees, k=k)
-        spec_abs = _factor_spectra(piece_abs, form_degrees, k=k)
-        spec_rel = _factor_spectra(piece_rel, form_degrees, k=k)
-        for deg in form_degrees:
-            lam_full, _ = spec_full[deg]
-            la, ka = spec_abs[deg]
-            lb, kb = spec_rel[deg]
+        spectra = [_factor_spectra(p, k=k) for p in (full, piece_abs, piece_rel)]
+        for deg in (0, 1):
+            (lam_full, _), (la, ka), (lb, kb) = (s[deg] for s in spectra)
             lam_split = np.sort(np.concatenate([la, lb]))[:k]
             out[deg].append(
                 {
@@ -665,16 +654,15 @@ def small_eigenvalue_scan(f_triple, T_ladder, k_branches=1, n_nodes=None, underf
     ridge), the quantity controlling the squared singular value of the
     deformed differential between well states.
     """
-    f, fp, fpp = f_triple
     lam_branches = {j: [] for j in range(1, k_branches + 1)}
     ts_used = {j: [] for j in range(1, k_branches + 1)}
     for T in T_ladder:
         prob = circle_problem(f_triple, T, n_nodes=n_nodes, form_degree=0)
         # the branch values are exponentially small: force the band
         # bisection of the factor, whose error is eps * sigma_max in sigma
-        # rather than eps * ||K|| in lambda
-        lam, kernel = factor_spectrum(prob, k=k_branches + kernel_guess(prob),
-                                      dense_limit=6000)
+        # rather than eps * ||K|| in lambda; the circle's kernel is the
+        # constants, one value below the branches
+        lam, kernel = factor_spectrum(prob, k=k_branches + 1, dense_limit=6000)
         nonzero = lam[lam > 0]
         for j in range(1, k_branches + 1):
             if j - 1 < len(nonzero):
@@ -705,10 +693,6 @@ def small_eigenvalue_scan(f_triple, T_ladder, k_branches=1, n_nodes=None, underf
     return out
 
 
-def kernel_guess(problem):
-    return 1 if problem.topology == "circle" else 0
-
-
 def _critical_nodes(f_triple, n, curvature):
     """Nodes i of the n-point circle grid where f' changes sign between i
     and i+1 and curvature * f''(s_i) > 0: wells for +1, ridges for -1."""
@@ -728,7 +712,7 @@ def agmon_decay_check(f_triple, T_ladder, b=0.5, well_width=0.3, n_nodes=None,
     """
     if not (0.0 < b < 1.0):
         raise ValueError("need 0 < b < 1")
-    f, fp, _ = f_triple
+    _, fp, _ = f_triple
     sups = []
     for T in T_ladder:
         prob = circle_problem(f_triple, T, n_nodes=n_nodes, form_degree=0)
@@ -755,7 +739,6 @@ def agmon_decay_check(f_triple, T_ladder, b=0.5, well_width=0.3, n_nodes=None,
 
 
 def _nearest_nodes(positions, n):
-    s = np.linspace(0, 2 * np.pi, n, endpoint=False)
     idx = np.unique(np.round(np.asarray(positions) / (2 * np.pi / n)).astype(int) % n)
     return idx
 

@@ -40,11 +40,13 @@ def test_malformed_config_exits_2(tmp_path):
 
 
 def test_invalid_parameter_value_exits_2(tmp_path):
-    out = tmp_path / "bad2"
-    # r2 beyond the allowed window trips the model validation
-    code = run_cli(["run", "birth-death", "--r2", "0.08",
-                    "--output-dir", str(out)])
-    assert code == 2
+    # r2 beyond the allowed window trips the model validation; the Witten
+    # solvers refuse k < 1 before writing any table
+    for args in (["birth-death", "--r2", "0.08"], ["witten-glue", "--k", "-1"],
+                 ["witten-glue", "--k", "0"]):
+        out = tmp_path / ("bad2" + "".join(args))
+        assert run_cli(["run", *args, "--output-dir", str(out)]) == 2
+        assert not (out / "result.csv").exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path):

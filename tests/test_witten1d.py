@@ -98,14 +98,28 @@ def test_supersymmetric_pairing():
     assert np.abs(nz0 - nz1).max() <= 1e-6 * np.abs(nz0).max()
 
 
+def test_factor_solvers_refuse_k_below_one():
+    prob = W.circle_problem(cos2(0.1), T=5.0)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            W.factor_spectrum(prob, k=k)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            W.factor_eigenpairs(prob, k)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            W.gluing_scan(cos2(0.05), T=10.0, A_ladder=[1.0], interface_r=0.12, k=k)
+
+
 def test_factor_susy_pairing_exact():
     prob0 = W.circle_problem(cos2(0.1), T=20.0, form_degree=0)
     prob1 = W.circle_problem(cos2(0.1), T=20.0, form_degree=1)
-    l0, k0 = W.factor_spectrum(prob0, k=6)
-    l1, k1 = W.factor_spectrum(prob1, k=6)
-    assert k0 == 1 and k1 == 1
-    assert np.allclose(l0, l1, rtol=1e-12, atol=1e-14)
-    assert (l0 >= 0).all()
+    # band bisection, then shift-invert Lanczos: one solve of the factor
+    # serves both degrees on either path
+    for dense_limit in (1800, 0):
+        l0, k0 = W.factor_spectrum(prob0, k=6, dense_limit=dense_limit)
+        l1, k1 = W.factor_spectrum(prob1, k=6, dense_limit=dense_limit)
+        assert k0 == 1 and k1 == 1
+        assert np.array_equal(l0, l1)
+        assert (l0 >= 0).all()
 
 
 def test_gluing_scan_converges():
@@ -119,6 +133,12 @@ def test_gluing_scan_converges():
         for r0, r1 in zip(rows, rows[1:]):
             assert (r1["gaps"] <= np.maximum(r0["gaps"], tol)).all()
         assert final["cluster_count"] == final["kernel_sum"]
+    # both degrees read one solve per factor, on the band and the sparse
+    # rungs: the circle's values agree bit for bit, and so do the pieces'
+    # once their structural zeros are padded in
+    for r0, r1 in zip(out[0], out[1]):
+        assert np.array_equal(r0["lambda"], r1["lambda"])
+        assert np.array_equal(r0["lambda_split"], r1["lambda_split"])
     # hodge bookkeeping of the pieces
     assert out[0][-1]["kernel_abs"] == 1 and out[0][-1]["kernel_rel"] == 0
     assert out[1][-1]["kernel_abs"] == 0 and out[1][-1]["kernel_rel"] == 1
@@ -254,9 +274,9 @@ def test_gluing_scan_matches_per_degree_factor_spectrum():
     for deg in (0, 1):
         for A, row in zip(ladder, out[deg]):
             full, piece_abs, piece_rel = _glue_problems(f_triple, T, A, r, n_nodes, deg)
-            # the ladder crosses the band/sparse switch (dense_limit 1800):
-            # the circle is sparse, the relative piece banded, and the
-            # absolute piece is sparse in degree 0 and banded in degree 1
+            # the ladder crosses the band/sparse switch (rank 1800): the
+            # circle is sparse, and both pieces are banded in both degrees,
+            # the absolute one at rank exactly 1800
             assert W.assemble_factor(piece_abs).shape == (1800, 1801)
             lam, _ = W.factor_spectrum(full, k=k)
             la, ka = W.factor_spectrum(piece_abs, k=k)
@@ -306,6 +326,25 @@ def test_gluing_scan_one_band_solve_per_factor_and_rung(monkeypatch):
     assert len({shape for shape, _ in calls}) == 3
     assert {want for _, want in calls} == {9}
 
+    # the benchmark ladder crosses the switch: each factor of rank above
+    # 1800 takes one eigsh on its rank-sized Gram operator instead
+    sizes = []
+    eigsh = W.spla.eigsh
+
+    def counting_eigsh(op, **kwargs):
+        sizes.append(op.shape[0])
+        return eigsh(op, **kwargs)
+
+    monkeypatch.setattr(W.spla, "eigsh", counting_eigsh)
+    calls.clear()
+    ladder = [1.0, 4.0, 16.0, 64.0]
+    W.gluing_scan(cos2(0.05), T=40.0, A_ladder=ladder, interface_r=0.12, k=7)
+    ranks = [min(W.assemble_factor(p).shape) for A in ladder
+             for p in _glue_problems(cos2(0.05), 40.0, A, 0.12, None, 0)]
+    assert sorted(sizes) == sorted(r for r in ranks if r > 1800)
+    assert sorted(min(shape) for shape, _ in calls) == sorted(r for r in ranks if r <= 1800)
+    assert len(sizes) == 5
+
 
 def test_factor_svals_window_never_undercounts_kernel():
     # 12 zero singular values: the first windows hold only kernel values
@@ -316,7 +355,8 @@ def test_factor_svals_window_never_undercounts_kernel():
     assert floor == pytest.approx(128 * np.finfo(float).eps, rel=1e-15)
     assert len(svals) == 16 and (svals[:12] == 0).all() and svals[12] > 0.9
     for dim, structural in ((63, 1), (62, 0)):
-        lam, kernel = W._band_factor_spectrum(svals, floor, dim, 62, 14)
+        lam, kernel = W._padded_spectrum(svals**2, int((svals <= floor).sum()),
+                                         dim, 62, 14)
         assert kernel == 12 + structural
         assert (lam[:kernel] == 0).all() and (lam[kernel:] > 0.9).all()
 
