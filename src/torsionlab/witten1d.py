@@ -434,7 +434,13 @@ def _padded_spectrum(lam, n_zero, dim, rank, k):
     lam = np.concatenate([np.zeros(dim - rank), lam])
     kernel = dim - rank + n_zero
     lam[:kernel] = 0.0
-    return lam[: 10 if k is None else k], kernel
+    return lam[: _count(k)], kernel
+
+
+def _count(k):
+    """How many of the lowest eigenvalues a factor solve returns: k, or
+    10 when k is None."""
+    return 10 if k is None else k
 
 
 def _factor_operator(b, form_degree):
@@ -552,6 +558,7 @@ def gluing_scan(f_triple, T, A_ladder, interface_r, cuts=(np.pi / 4, 7 * np.pi /
         if crit.size and np.min(np.abs((crit - c + np.pi) % (2 * np.pi) - np.pi)) < 2.2 * interface_r:
             raise ValueError(f"interface at {c:.3f} sits too close to a critical point")
     out = {0: [], 1: []}
+    n_low = _count(k)
     for A in A_ladder:
         prof = build_p_profile(A, interface_r)
         full = circle_problem(f_triple, T, n_nodes=n_nodes, A=A,
@@ -564,7 +571,7 @@ def gluing_scan(f_triple, T, A_ladder, interface_r, cuts=(np.pi / 4, 7 * np.pi /
         spectra = [_factor_spectra(p, k=k) for p in (full, piece_abs, piece_rel)]
         for deg in (0, 1):
             (lam_full, _), (la, ka), (lb, kb) = (s[deg] for s in spectra)
-            lam_split = np.sort(np.concatenate([la, lb]))[:k]
+            lam_split = np.sort(np.concatenate([la, lb]))[:n_low]
             out[deg].append(
                 {
                     "A": A,

@@ -31,6 +31,138 @@ def test_degenerate_model_rejected():
         M.fiber_criticals(bad)
 
 
+def _fiber_criticals_per_seed(model):
+    """Oracle: the scalar Newton that fiber_criticals batches, one seed at
+    a time, with the sequential dedup scan."""
+    d = model.dim
+    if d == 1:
+        seeds = np.linspace(0, 2 * np.pi, 256, endpoint=False)[:, None]
+    else:
+        g = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        seeds = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+    found = []
+    for u0 in seeds:
+        u = u0.astype(float).copy()
+        ok = False
+        for _ in range(60):
+            g = model.grad(u)
+            h = model.hess(u)
+            try:
+                step = np.linalg.solve(h, g)
+            except np.linalg.LinAlgError:
+                break
+            if np.linalg.norm(step) > 1.0:
+                step *= 1.0 / np.linalg.norm(step)
+            u = u - step
+            if np.linalg.norm(model.grad(u)) < 1e-12:
+                ok = True
+                break
+        if not ok:
+            continue
+        u = np.mod(u, 2 * np.pi)
+        if any(
+            np.linalg.norm(np.mod(u - c.location + np.pi, 2 * np.pi) - np.pi) < 1e-6
+            for c in found
+        ):
+            continue
+        spec, vecs = np.linalg.eigh(model.hess(u))
+        if np.abs(spec).min() < 1e-6 * max(1.0, np.abs(spec).max()):
+            raise ValueError("degenerate critical point: model is not Morse")
+        frame = vecs[:, spec < 0]
+        cols = []
+        for j in range(frame.shape[1]):
+            v = frame[:, j]
+            lead = np.argmax(np.abs(v))
+            cols.append((lead, v * np.sign(v[lead])))
+        cols.sort(key=lambda t: t[0])
+        frame = np.stack([c[1] for c in cols], axis=1) if cols else frame
+        found.append(M.Critical(u, float(model.value(u)), int((spec < 0).sum()), frame))
+    found.sort(key=lambda c: (c.index, c.value, tuple(np.round(c.location, 9))))
+    return found
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _critical_bits(crits):
+    return [(_bits(c.location), _bits(c.value), c.index, _bits(c.frame)) for c in crits]
+
+
+def _complex_bits(data):
+    flows = {k: [(n, w, _bits(t)) for n, w, t in v] for k, v in data.flows.items()}
+    cpx = data.complex
+    return (_critical_bits(data.criticals), flows, cpx.ranks,
+            [_bits(d) for d in cpx.diffs], [_bits(g) for g in cpx.metrics])
+
+
+def _sin_circle():
+    # f = sin s: at the seed s = 0 the Hessian -sin(0) is exactly -0.0
+    return M.ManifoldModel(
+        "circle",
+        lambda u: np.sin(u[0]),
+        lambda u: np.array([np.cos(u[0])]),
+        lambda u: np.array([[-np.sin(u[0])]]),
+        [np.eye(1, dtype=complex)],
+    )
+
+
+ORACLE_MODELS = {
+    "circle1": lambda: M.circle_model(freq=1),
+    "circle2": lambda: M.circle_model(freq=2),
+    "circle3": lambda: M.circle_model(freq=3, rep=np.array([[np.exp(0.7j)]])),
+    "tilted": lambda: M.circle_model(freq=2, tilt=0.3),
+    "sin": _sin_circle,
+    "torus": lambda: M.torus_model(),
+    **{
+        f"torus{a:+}{b:+}": (lambda a=a, b=b: M.torus_model(
+            rep=[np.array([[np.exp(1.3j)]]), np.array([[np.exp(4.1j)]])], tilt=(a, b)))
+        for a in (-0.05, 0.05) for b in (-0.05, 0.05)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_build_complex_matches_per_seed_oracle(name, monkeypatch):
+    model = ORACLE_MODELS[name]()
+    data = M.build_complex(model)
+    assert _critical_bits(M.fiber_criticals(model)) == _critical_bits(data.criticals)
+    # the oracle complex: per-seed Newton and flow lines shot with RK45
+    solve_ivp = M.scipy.integrate.solve_ivp
+
+    def rk45(*args, method=None, **kwargs):
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(M, "fiber_criticals", _fiber_criticals_per_seed)
+    monkeypatch.setattr(M.scipy.integrate, "solve_ivp", rk45)
+    assert _complex_bits(data) == _complex_bits(M.build_complex(model))
+
+
+def test_singular_hessian_drops_only_its_seed():
+    crits = M.fiber_criticals(_sin_circle())
+    assert [c.index for c in crits] == [0, 1]
+    assert np.allclose([c.location[0] for c in crits], [1.5 * np.pi, 0.5 * np.pi],
+                       atol=1e-12)
+
+
+def test_fiber_criticals_batches_grad_calls():
+    model = M.torus_model(tilt=(0.03, -0.02))
+    calls = []
+    grad = model.grad
+
+    def counting(u):
+        calls.append(np.shape(u))
+        return grad(u)
+
+    model.grad = counting
+    assert len(M.fiber_criticals(model)) == 4
+    # one batched call before the first Newton iteration and one per
+    # iteration (at most 60), not one or two per seed and step
+    assert len(calls) <= 121
+    assert calls[0] == (2, 4096)
+
+
 def test_circle_criticals():
     crits = M.fiber_criticals(M.circle_model())
     assert sorted(c.index for c in crits) == [0, 1]

@@ -308,6 +308,25 @@ def test_gluing_scan_window_beyond_ten():
         assert np.allclose(row["lambda_split"], split, rtol=1e-9, atol=1e-12)
 
 
+def test_gluing_scan_default_window():
+    # k=None takes factor_spectrum's default of at most 10 values, for the
+    # circle and for the two pieces together
+    f_triple, T, r, n_nodes = cos2(0.05), 10.0, 0.12, 480
+    out = W.gluing_scan(f_triple, T=T, A_ladder=[1.0], interface_r=r, k=None,
+                        n_nodes=n_nodes)
+    for deg in (0, 1):
+        full, piece_abs, piece_rel = _glue_problems(f_triple, T, 1.0, r, n_nodes, deg)
+        lam, _ = W.factor_spectrum(full)
+        la, _ = W.factor_spectrum(piece_abs)
+        lb, _ = W.factor_spectrum(piece_rel)
+        split = np.sort(np.concatenate([la, lb]))[:10]
+        row = out[deg][0]
+        assert len(lam) == len(split) == 10
+        assert np.array_equal(row["lambda"], lam)
+        assert np.array_equal(row["lambda_split"], split)
+        assert np.array_equal(row["gaps"], np.abs(lam - split))
+
+
 def test_gluing_scan_one_band_solve_per_factor_and_rung(monkeypatch):
     calls = []
     solve = W._factor_svals
