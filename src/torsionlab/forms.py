@@ -7,6 +7,12 @@ compute the characteristic form built from h(a) = a exp(a^2), its metric
 transgression, the deformation-parameter torsion form, and the residuals of
 the anomaly identity and of its odd-fiber specialization.
 
+With X0 = (v* - v)/2, X0^2 = -Laplacian/4, so on degree k
+h'(X0) = f(Laplacian_k) with f(x) = (1 - x/2) e^{-x/4} (Bismut-Zhang). The
+h-form and the transgression integrand are thus traces
+sum_k (-1)^k Tr[G_k^{-1} Gdot_k f(Laplacian_k)], taken over all samples and
+path nodes at once by one batched generalized eigensolve per degree.
+
 Conventions for a circle base with m samples, spacing dtheta = 2 pi / m:
 a 0-form is a per-sample scalar, a 1-form a per-edge scalar holding the
 coefficient of dtheta at the edge midpoint. The exterior derivative of a
@@ -18,10 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.integrate
 import scipy.linalg
 
-from .graded import (GradedComplex, _block_diag, _spectra, _spectral_integrand,
-                     euler_chars)
+from .graded import (GradedComplex, _adj, _laplacian_pencil, _pencil, _spectra,
+                     _spectral_integrand, _split_spectrum, euler_chars,
+                     euler_chars_cohomology)
 
 __all__ = [
     "SuperconnectionFamily",
@@ -142,16 +150,6 @@ def constant_family(fiber: GradedComplex, m: int, transport=None):
 
 
 # ---------------------------------------------------------------------------
-# matrix-function helpers
-# ---------------------------------------------------------------------------
-
-def _h_prime_mat(x):
-    """(1 + 2 X^2) exp(X^2) for a square matrix X."""
-    x2 = x @ x
-    return (np.eye(len(x)) + 2.0 * x2) @ scipy.linalg.expm(x2)
-
-
-# ---------------------------------------------------------------------------
 # per-sample and per-edge geometry
 # ---------------------------------------------------------------------------
 
@@ -185,115 +183,120 @@ def adjoint_superconnection(fam: SuperconnectionFamily):
     return {"vstar": vstar, "transports_adjoint": adj_tr, "X0": x0, "W": w}
 
 
-def _edge_data(fam: SuperconnectionFamily, j, t_scale=None):
-    """Midpoint metric, differential and W on edge j, in the frame at j.
+def _supertrace_f(diffs, grams, gdots):
+    """sum_k (-1)^k Tr[G_k^{-1} Gdot_k f(Laplacian_k)] from d_k, the Hermitian
+    Gram matrix G_k of C^k and its derivative, all with leading batch axes
+    that broadcast together. With G_k = L L^H, eigh of L^{-1} M_k L^{-H}
+    gives the eigenvalues lam and U; V = L^{-H} U has V^H G_k V = 1, so the
+    trace is sum_i f(lam_i) (V^H Gdot_k V)_ii."""
+    total = 0.0
+    n = len(grams)
+    for k, g in enumerate(grams):
+        if g.shape[-1] == 0:
+            continue
+        up = (diffs[k], grams[k + 1]) if k < n - 1 else None
+        down = (diffs[k - 1], grams[k - 1]) if k > 0 else None
+        linv = np.linalg.inv(np.linalg.cholesky(g))
+        lam, u = np.linalg.eigh(linv @ _pencil(g, up, down) @ _adj(linv))
+        diag = np.sum(u.conj() * (linv @ gdots[k] @ _adj(linv) @ u), axis=-2)
+        f = (1.0 - 0.5 * lam) * np.exp(-0.25 * lam)
+        total = total + (-1.0) ** k * np.sum(f * diag, axis=-1)
+    return total
 
-    The differential is parallel along the edge, so in the frame at j it
-    equals v(j) exactly; the metric is interpolated between G(j) and the
-    pullback of G(j+1). An optional canonical rescaling t^{N - n/2} is
-    applied to both endpoint metrics (it commutes with grading-preserving
-    transports, leaving W unchanged).
-    """
-    fib = fam.fibers[j]
-    n = fib.top_degree
-    weights = fib.degree_weights() - 0.5 * n
-    g_j = fib.full_metric()
-    g_j1 = fam.fibers[(j + 1) % fam.n_samples].full_metric()
-    p = fam.transports[j]
-    g_par = p.conj().T @ g_j1 @ p
-    if t_scale is not None:
-        s = np.diag(np.power(float(t_scale), weights))
-        g_j = s @ g_j
-        g_par = s @ g_par
-    g_mid = 0.5 * (g_j + g_par)
-    w = np.linalg.solve(g_mid, (g_par - g_j) / (2.0 * fam.dtheta))
-    v = fib.full_differential()
-    return g_mid, v, w
+
+def _fiber_diffs(fam: SuperconnectionFamily):
+    """Per degree k, the differentials d_k of every sample, stacked."""
+    return [np.stack([f.diffs[k] for f in fam.fibers]) for k in range(len(fam.ranks) - 1)]
 
 
 def h_form(fam: SuperconnectionFamily, t_scale=None):
     """Characteristic form of the family for the (optionally rescaled) metric.
 
-    degree1[j] = Tr_s[W h'(X0)] at the midpoint of edge j; degree0 is zero
-    because h is odd and X0 is odd (see FormOnBase).
+    degree1[j] = Tr_s[W h'(X0)] at the midpoint of edge j, in the frame at
+    j, where the parallel differential is v(j), the metric G_mid is the mean
+    of G(j) and the pullback G_par of G(j+1), and
+    W = G_mid^{-1} (G_par - G(j)) / (2 dtheta). W preserves the grading, so
+    this is sum_k (-1)^k Tr[W_k f(Laplacian_k)] (Bismut-Zhang; see
+    _supertrace_f). t_scale rescales both endpoint metrics of degree k by
+    t^{k - n/2}. degree0 is zero because h and X0 are odd (see FormOnBase).
     """
-    m = fam.n_samples
-    sign = fam.fibers[0].sign_weights()
-    deg1 = np.zeros(m, dtype=complex)
-    for j in range(m):
-        g_mid, v, w = _edge_data(fam, j, t_scale=t_scale)
-        x0_mid = 0.5 * (np.linalg.solve(g_mid, v.conj().T @ g_mid) - v)
-        deg1[j] = np.sum(sign * np.diag(w @ _h_prime_mat(x0_mid)))
-    return FormOnBase(np.zeros(m, dtype=complex), deg1)
+    n = fam.fibers[0].top_degree
+    off = fam.fibers[0].offsets()
+    g_mid, g_dot = [], []
+    for k in range(n + 1):
+        g_j = np.stack([f.metrics[k] for f in fam.fibers])
+        p = np.stack([t[off[k] : off[k + 1], off[k] : off[k + 1]] for t in fam.transports])
+        g_par = _adj(p) @ np.roll(g_j, -1, axis=0) @ p
+        if t_scale is not None:
+            s = float(t_scale) ** (k - 0.5 * n)
+            g_j, g_par = s * g_j, s * g_par
+        g_mid.append(0.5 * (g_j + g_par))
+        g_dot.append((g_par - g_j) / (2.0 * fam.dtheta))
+    deg1 = _supertrace_f(_fiber_diffs(fam), g_mid, g_dot)
+    return FormOnBase(np.zeros_like(deg1), deg1)
 
 
 # ---------------------------------------------------------------------------
 # transgression along a metric path
 # ---------------------------------------------------------------------------
 
+def _path_metrics(fam: SuperconnectionFamily, path, nodes, check=True):
+    """Per degree, the Hermitian parts of path(l, j) for every sample j and
+    node l in nodes, stacked with shape (m, n_nodes, r, r). With check,
+    raises ValueError at the first one, in (j, l) order, that is not
+    positive definite."""
+    m = fam.n_samples
+    grams = [np.empty((m, len(nodes), r, r), dtype=complex) for r in fam.ranks]
+    for j in range(m):
+        calls = [path(l, j) for l in nodes]
+        for k, out in enumerate(grams):
+            g = np.array([c[k] for c in calls], dtype=complex)
+            out[j] = 0.5 * (g + _adj(g))
+    bad = np.zeros((m, len(nodes)), dtype=bool)
+    for g in grams:
+        if check and g.shape[-1]:
+            bad |= np.linalg.eigvalsh(g)[..., 0] <= 0
+    if bad.any():
+        _, i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"metric path leaves the positive cone at l={nodes[i]}")
+    return grams
+
+
 def transgression(fam: SuperconnectionFamily, metric_path, n_l=33):
     """Integral over l in [0, 1] of the dl-component of the h-form.
 
-    metric_path(l) must return one Gram matrix per degree, all samples
-    sharing the path shape: it is called as metric_path(l, j) for sample j.
-    The derivative in l is taken by centered differences with step 1e-6
-    unless metric_path has a 'derivative' attribute (called the same way).
-    degree0[j] = int_0^1 Tr_s[(1/2) G^{-1} dG/dl h'(X0_l)] dl; degree1, the
-    mixed dl-dtheta component Tr[c Dh'(X0)[sigma W]], is zero by parity
-    (see FormOnBase).
+    metric_path(l, j) returns one Gram matrix per degree for sample j. The
+    l-derivative is a centered difference with step 1e-6 unless metric_path
+    has a 'derivative' attribute (called the same way); every metric
+    evaluated, difference points included, must be positive definite.
+    degree0[j] = int_0^1 Tr_s[(1/2) G^{-1} dG/dl h'(X0_l)] dl by Simpson's
+    rule over n_l nodes, the integrand being
+    (1/2) sum_k (-1)^k Tr[G_k^{-1} dG_k/dl f(Laplacian_k)] (Bismut-Zhang;
+    see _supertrace_f). degree1, the mixed dl-dtheta component
+    Tr[c Dh'(X0)[sigma W]], is zero by parity (see FormOnBase).
     """
     if n_l < 16:
         raise ValueError("need at least 16 points along the path")
     if n_l % 2 == 0:
         n_l += 1
     m = fam.n_samples
-    sign = fam.fibers[0].sign_weights()
     ls = np.linspace(0.0, 1.0, n_l)
-    simp = np.ones(n_l)
-    simp[1:-1:2] = 4.0
-    simp[2:-1:2] = 2.0
-    simp *= (ls[1] - ls[0]) / 3.0
-
-    def metrics_at(l, j):
-        gl = metric_path(l, j)
-        for g in gl:
-            w = np.linalg.eigvalsh(0.5 * (np.asarray(g) + np.asarray(g).conj().T))
-            if w.size and w.min() <= 0:
-                raise ValueError(f"metric path leaves the positive cone at l={l}")
-        return _block_diag([np.asarray(g, dtype=complex) for g in gl])
-
+    grams = _path_metrics(fam, metric_path, ls)
     deriv = getattr(metric_path, "derivative", None)
-
-    def dmetrics_at(l, j):
-        if deriv is not None:
-            return _block_diag([np.asarray(g, dtype=complex) for g in deriv(l, j)])
-        eps = 1e-6
-        l0, l1 = max(0.0, l - eps), min(1.0, l + eps)
-        return (metrics_at(l1, j) - metrics_at(l0, j)) / (l1 - l0)
-
-    deg0 = np.zeros(m, dtype=complex)
-    for j in range(m):
-        v = fam.fibers[j].full_differential()
-        for li, l in enumerate(ls):
-            g = metrics_at(l, j)
-            gdot = dmetrics_at(l, j)
-            c = 0.5 * np.linalg.solve(g, gdot)
-            x0 = 0.5 * (np.linalg.solve(g, v.conj().T @ g) - v)
-            deg0[j] += simp[li] * np.sum(sign * np.diag(c @ _h_prime_mat(x0)))
+    if deriv is not None:
+        gdots = _path_metrics(fam, deriv, ls, check=False)
+    else:
+        hi, lo = np.minimum(1.0, ls + 1e-6), np.maximum(0.0, ls - 1e-6)
+        gdots = [(a - b) / (hi - lo)[:, None, None] for a, b in
+                 zip(_path_metrics(fam, metric_path, hi), _path_metrics(fam, metric_path, lo))]
+    diffs = [d[:, None] for d in _fiber_diffs(fam)]
+    deg0 = scipy.integrate.simpson(0.5 * _supertrace_f(diffs, grams, gdots), x=ls, axis=-1)
     return FormOnBase(deg0, np.zeros(m, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
 # torsion form
 # ---------------------------------------------------------------------------
-
-def _family_euler(fam: SuperconnectionFamily):
-    from .graded import euler_chars_cohomology
-
-    e = euler_chars(fam.fibers[0])
-    eh = euler_chars_cohomology(fam.fibers[0])
-    return e, eh
-
 
 def torsion_form_TL(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200,
                     tail_tol=1e-6):
@@ -310,17 +313,14 @@ def torsion_form_TL(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200,
     if not (0.0 < tau < t_max):
         raise ValueError("need 0 < tau < t_max")
     m = fam.n_samples
-    e, eh = _family_euler(fam)
+    e, eh = euler_chars(fam.fibers[0]), euler_chars_cohomology(fam.fibers[0])
     ts = np.geomspace(tau, t_max, n_t)
     deg0_int = np.zeros((m, n_t))
     for j in range(m):
         deg0_int[j] = _spectral_integrand(_spectra(fam.fibers[j]), e, eh, ts)
-
     tail = np.abs(deg0_int[:, -1]).max()
     if tail > tail_tol:
-        raise TailNotConvergedError(
-            f"integrand at t_max={t_max} is {tail:.3e}; increase t_max"
-        )
+        raise TailNotConvergedError(f"integrand at t_max={t_max} is {tail:.3e}; increase t_max")
     log_w = _trapezoid_weights_log(ts)
     deg0 = (deg0_int * (log_w * ts)[None, :]).sum(axis=1)
     return FormOnBase(deg0.astype(complex), np.zeros(m, dtype=complex))
@@ -341,8 +341,6 @@ def _trapezoid_weights_log(ts):
 
 def _harmonic_basis(fib: GradedComplex):
     """Per degree: G-orthonormal basis of ker(Laplacian_k) of one fiber."""
-    from .graded import _laplacian_pencil, _split_spectrum
-
     per_deg = []
     for k in range(len(fib.ranks)):
         r = fib.ranks[k]

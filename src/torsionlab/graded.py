@@ -212,17 +212,35 @@ def laplacian(c: GradedComplex, k: int):
     return lap
 
 
+def _adj(a):
+    """Conjugate transpose over the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _pencil(g, up=None, down=None):
+    """Hermitian M with G^{-1} M the Laplacian of one degree, from its Gram
+    matrix g, up = (d_k, G_{k+1}) and down = (d_{k-1}, G_{k-1}) (None at
+    the ends). Every argument may carry leading batch axes, which
+    broadcast as in np.matmul."""
+    terms = []
+    if up is not None:
+        d, g_up = up
+        terms.append(_adj(d) @ g_up @ d)
+    if down is not None:
+        d, g_down = down
+        inner = np.linalg.solve(g_down, _adj(d) @ g)
+        terms.append(g @ d @ inner)
+    m = np.zeros(np.broadcast_shapes(g.shape, *(t.shape for t in terms)), dtype=complex)
+    for t in terms:
+        m += t
+    return 0.5 * (m + _adj(m))
+
+
 def _laplacian_pencil(c: GradedComplex, k: int):
     """Hermitian pencil (M_k, G_k) with G_k^{-1} M_k = Laplacian_k."""
-    r = c.ranks[k]
-    m = np.zeros((r, r), dtype=complex)
-    if k < len(c.diffs):
-        m += c.diffs[k].conj().T @ c.metrics[k + 1] @ c.diffs[k]
-    if k > 0:
-        dm = c.diffs[k - 1]
-        inner = np.linalg.solve(c.metrics[k - 1], dm.conj().T @ c.metrics[k])
-        m += c.metrics[k] @ dm @ inner
-    return 0.5 * (m + m.conj().T), c.metrics[k]
+    up = (c.diffs[k], c.metrics[k + 1]) if k < len(c.diffs) else None
+    down = (c.diffs[k - 1], c.metrics[k - 1]) if k > 0 else None
+    return _pencil(c.metrics[k], up, down), c.metrics[k]
 
 
 def laplacian_spectrum(c: GradedComplex, k: int):

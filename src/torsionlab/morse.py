@@ -280,6 +280,21 @@ def flow_lines(model: ManifoldModel, criticals, p: Critical, q: Critical):
     the chosen unstable frame of p against (-velocity) wedged with the
     frame of q at arrival; transport is the holonomy of the winding.
     """
+    return _flow_lines(model, criticals, p, q, {})
+
+
+def _flow_lines(model, criticals, p, q, shots):
+    """flow_lines, with each shot kept in shots under (start point, sign of
+    the start direction, time sign): its target does not depend on the
+    partner, so one dict shared over all pairs shoots each trajectory once."""
+
+    def shoot(c, line, s0, sign_time):
+        key = (id(c), s0, sign_time)
+        if key not in shots:
+            shots[key] = _shoot(model, c.location, s0 * line, criticals,
+                                sign_time=sign_time, skip=c)
+        return shots[key]
+
     if p.index != q.index + 1:
         raise ValueError("flow lines need index difference one")
     d = model.dim
@@ -288,7 +303,7 @@ def flow_lines(model: ManifoldModel, criticals, p: Critical, q: Critical):
         # forward shooting along the 1-d unstable line of p
         line = p.frame[:, 0]
         for s0 in (+1.0, -1.0):
-            res = _shoot(model, p.location, s0 * line, criticals, sign_time=+1.0, skip=p)
+            res = shoot(p, line, s0, +1.0)
             if res is None:
                 raise RuntimeError("flow line escaped; model not Thom-Smale")
             i_t, vel, disp = res
@@ -307,7 +322,7 @@ def flow_lines(model: ManifoldModel, criticals, p: Critical, q: Critical):
         stable = vecs[:, spec > 0]
         line = stable[:, 0]
         for s0 in (+1.0, -1.0):
-            res = _shoot(model, q.location, s0 * line, criticals, sign_time=-1.0, skip=q)
+            res = shoot(q, line, s0, -1.0)
             if res is None:
                 raise RuntimeError("flow line escaped; model not Thom-Smale")
             i_t, vel, disp = res
@@ -364,7 +379,7 @@ def build_complex(model: ManifoldModel):
     pos = {id(c): i for i, c in enumerate(criticals)}
     by_index = {k: [c for c in criticals if c.index == k] for k in range(d + 1)}
     ranks = tuple(m * len(by_index[k]) for k in range(d + 1))
-    flows = {}
+    flows, shots = {}, {}
     diffs = []
     for k in range(d):
         rows = by_index[k + 1]
@@ -372,7 +387,7 @@ def build_complex(model: ManifoldModel):
         mat = np.zeros((m * len(rows), m * len(cols)), dtype=complex)
         for ip, pcrit in enumerate(rows):
             for iq, qcrit in enumerate(cols):
-                lines = flow_lines(model, criticals, pcrit, qcrit)
+                lines = _flow_lines(model, criticals, pcrit, qcrit, shots)
                 flows[(pos[id(pcrit)], pos[id(qcrit)])] = lines
                 block = np.zeros((m, m), dtype=complex)
                 for n, wind, tau in lines:

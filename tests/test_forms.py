@@ -4,9 +4,11 @@ import scipy.linalg
 
 from torsionlab import forms as F
 from torsionlab.acceptance import _anomaly_family as anomaly_family
+from torsionlab.acceptance import random_metric
 from torsionlab.graded import GradedComplex, euler_chars_cohomology, finite_torsion
 
-from util import random_complex, random_flat_family
+from util import (edge_data, h_form_expm, h_prime_mat, random_complex, random_flat_family,
+                  transgression_expm)
 
 
 def _x0(fiber):
@@ -17,7 +19,7 @@ def _x0(fiber):
 
 
 def _h_prime_frechet(x, y):
-    """Directional derivative of F._h_prime_mat at X in direction Y."""
+    """Directional derivative of h_prime_mat at X in direction Y."""
     x2 = x @ x
     s = x @ y + y @ x
     e, f = scipy.linalg.expm_frechet(x2, s)
@@ -106,7 +108,7 @@ def test_transgression_uniform_scaling_closed_form():
     path = lambda l, j: [np.exp(2 * l) * np.asarray(g) for g in fib.metrics]
     tg = F.transgression(consts, path, n_l=33)
     x0 = _x0(fib)
-    expected = np.sum(fib.sign_weights() * np.diag(F._h_prime_mat(x0)))
+    expected = np.sum(fib.sign_weights() * np.diag(h_prime_mat(x0)))
     assert abs(tg.degree0[0] - expected) < 1e-10
 
 
@@ -135,6 +137,83 @@ def test_transgression_identity_with_refinement():
         prev = res
 
 
+def _rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def _metric(rng, r):
+    """Random complex Hermitian positive Gram matrix, Hermitian to the bit."""
+    g = random_metric(rng, r)
+    return 0.5 * (g + g.conj().T)
+
+
+def _oracle_families(rng):
+    """Random flat families whose rank-0 degree sits at the top, the middle
+    and the bottom (seeds 8, 25, 27), the same with complex Hermitian
+    metrics drawn per sample, and the anomaly family."""
+    fams = [random_flat_family(np.random.default_rng(s), m=8) for s in (8, 25, 27)]
+    fams += [
+        F.SuperconnectionFamily(
+            [f.with_metrics([_metric(rng, r) for r in f.ranks]) for f in fam.fibers],
+            fam.transports)
+        for fam in fams
+    ]
+    return fams + [anomaly_family(16)]
+
+
+def test_h_form_matches_expm_oracle():
+    for fam in _oracle_families(np.random.default_rng(11)):
+        for t_scale in (None, 1e-3):
+            want = h_form_expm(fam, t_scale=t_scale)
+            assert _rel(F.h_form(fam, t_scale=t_scale).degree1, want) <= 1e-12
+
+
+def test_transgression_matches_expm_oracle():
+    # straight paths from each sample's metrics to random complex Hermitian
+    # ones, also under the canonical rescaling tau^{k - n/2}; the path with
+    # an exact 'derivative' attribute agrees with the oracle and, to the
+    # centered difference's rounding, with the difference route
+    rng = np.random.default_rng(12)
+    for fam in _oracle_families(rng):
+        ends = [[_metric(rng, r) for r in fam.ranks] for _ in range(fam.n_samples)]
+        n = len(fam.ranks) - 1
+        for tau in (1.0, 1e-2):
+            def path(l, j, fam=fam, ends=ends, tau=tau):
+                return [tau ** (k - 0.5 * n) * ((1 - l) * g + l * h)
+                        for k, (g, h) in enumerate(zip(fam.fibers[j].metrics, ends[j]))]
+
+            def exact(l, j, fam=fam, ends=ends, tau=tau):
+                return [tau ** (k - 0.5 * n) * (h - g)
+                        for k, (g, h) in enumerate(zip(fam.fibers[j].metrics, ends[j]))]
+
+            by_diff = F.transgression(fam, path, n_l=17).degree0
+            assert _rel(by_diff, transgression_expm(fam, path, n_l=17)) <= 1e-12
+            path.derivative = exact
+            by_deriv = F.transgression(fam, path, n_l=17).degree0
+            assert _rel(by_deriv, transgression_expm(fam, path, n_l=17)) <= 1e-12
+            assert _rel(by_diff, by_deriv) <= 1e-8
+
+
+def test_transgression_positivity_guard():
+    # n_l=17 puts the nodes at l = i/16; the first path is indefinite on
+    # sample 3 from l = 0.6 on, so first at the node 0.625; the second only
+    # at the forward difference point 0.5 + 1e-6 of the node 0.5
+    fam = anomaly_family(16)
+
+    def interior(l, j):
+        s = 0.6 - l if j == 3 else 1.0
+        return [s * np.asarray(g) for g in fam.fibers[j].metrics]
+
+    def difference_point(l, j):
+        s = -1.0 if l == 0.5 + 1e-6 else 1.0
+        return [s * np.asarray(g) for g in fam.fibers[j].metrics]
+
+    with pytest.raises(ValueError, match=r"positive cone at l=0\.625$"):
+        F.transgression(fam, interior, n_l=17)
+    with pytest.raises(ValueError, match=r"positive cone at l=0\.500001$"):
+        F.transgression(fam, difference_point, n_l=17)
+
+
 def test_parity_zero_parts_vanish():
     # the parts of the forms that are not computed are exactly zero: for
     # odd X and even Y, Dh'(X)[Y] has a zero block diagonal
@@ -149,7 +228,7 @@ def test_parity_zero_parts_vanish():
         frech = _h_prime_frechet(x, y)
         assert not frech[shift == 0].any()
         eps = 1e-5
-        fd = (F._h_prime_mat(x + eps * y) - F._h_prime_mat(x - eps * y)) / (2 * eps)
+        fd = (h_prime_mat(x + eps * y) - h_prime_mat(x - eps * y)) / (2 * eps)
         assert np.abs(fd - frech).max() <= 1e-7 * np.abs(frech).max()
     # on families: Tr_s h(X0) per sample (the h-form in degree 0) and the
     # degree-1 torsion-form integrand Tr[(N - n/2) Dh'(X0_t)[sigma W]] per
@@ -161,7 +240,7 @@ def test_parity_zero_parts_vanish():
         for j in range(fam.n_samples):
             x0 = _x0(fam.fibers[j])
             assert not np.sum(sign * np.diag(x0 @ scipy.linalg.expm(x0 @ x0)))
-            g_mid, v, w = F._edge_data(fam, j)
+            g_mid, v, w = edge_data(fam, j)
             vstar_mid = np.linalg.solve(g_mid, v.conj().T @ g_mid)
             for t in (1e-3, 1.0, 80.0):
                 frech = _h_prime_frechet(0.5 * (t * vstar_mid - v), sign[:, None] * w)

@@ -254,3 +254,21 @@ def test_block_diag_matches_scipy():
     for _ in range(20):
         c = random_complex(rng)
         assert np.array_equal(c.full_metric(), scipy.linalg.block_diag(*c.metrics))
+
+
+def test_pencil_broadcasts_over_stacked_metrics():
+    # one _pencil call over a stack of metrics of one complex gives the
+    # pencils of the complexes with those metrics, slice by slice
+    rng = np.random.default_rng(10)
+    from torsionlab.acceptance import random_metric
+
+    for _ in range(10):
+        c = random_complex(rng, n_deg=3, max_piece=2)
+        stacks = [np.stack([random_metric(rng, r) for _ in range(5)]) for r in c.ranks]
+        for k in range(3):
+            up = (c.diffs[k], stacks[k + 1]) if k < 2 else None
+            down = (c.diffs[k - 1][None], stacks[k - 1]) if k > 0 else None
+            got = G._pencil(stacks[k], up, down)
+            for s in range(5):
+                ref, _ = G._laplacian_pencil(c.with_metrics([g[s] for g in stacks]), k)
+                assert np.allclose(got[s], ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max(initial=1.0))

@@ -139,6 +139,31 @@ def test_build_complex_matches_per_seed_oracle(name, monkeypatch):
     assert _complex_bits(data) == _complex_bits(M.build_complex(model))
 
 
+@pytest.mark.parametrize("freq", [1, 2, 3])
+def test_build_complex_shoots_each_trajectory_once(freq, monkeypatch):
+    # a shot's target does not depend on the partner, so build_complex
+    # shoots each (critical point, direction, time sign) once: 2 freq calls
+    # for the freq maxima, not 2 freq^2; the flows are those of flow_lines,
+    # which shoots afresh for every pair
+    model = M.circle_model(freq=freq)
+    calls = []
+    shoot = M._shoot
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(M, "_shoot", counting)
+    data = M.build_complex(model)
+    assert len(calls) == 2 * freq
+    crit = data.criticals
+    per_pair = M.MorseComplexData(crit, {
+        key: M.flow_lines(model, crit, crit[key[0]], crit[key[1]]) for key in data.flows
+    }, data.complex)
+    assert len(calls) == 2 * freq + 2 * freq**2
+    assert _complex_bits(per_pair) == _complex_bits(data)
+
+
 def test_singular_hessian_drops_only_its_seed():
     crits = M.fiber_criticals(_sin_circle())
     assert [c.index for c in crits] == [0, 1]

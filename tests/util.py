@@ -69,3 +69,76 @@ def _min_nonzero_eig(c):
         if nz.size:
             vals.append(nz.min())
     return min(vals) if vals else 1.0
+
+
+# ---------------------------------------------------------------------------
+# the matrix-exponential route to the h-form and the transgression: an
+# oracle for the spectral kernel of torsionlab.forms
+# ---------------------------------------------------------------------------
+
+def h_prime_mat(x):
+    """(1 + 2 X^2) exp(X^2) for a square matrix X."""
+    x2 = x @ x
+    return (np.eye(len(x)) + 2.0 * x2) @ scipy.linalg.expm(x2)
+
+
+def x0_of(v, g):
+    """X0 = (v* - v)/2 for the differential v and Gram matrix g."""
+    return 0.5 * (np.linalg.solve(g, v.conj().T @ g) - v)
+
+
+def edge_data(fam, j, t_scale=None):
+    """Midpoint metric, differential and W on edge j, in the frame at j,
+    on the direct sum of all degrees; t_scale rescales degree k of both
+    endpoint metrics by t^{k - n/2}."""
+    fib = fam.fibers[j]
+    g_j = fib.full_metric()
+    p = fam.transports[j]
+    g_par = p.conj().T @ fam.fibers[(j + 1) % fam.n_samples].full_metric() @ p
+    if t_scale is not None:
+        s = np.diag(np.power(float(t_scale), fib.degree_weights() - 0.5 * fib.top_degree))
+        g_j, g_par = s @ g_j, s @ g_par
+    g_mid = 0.5 * (g_j + g_par)
+    w = np.linalg.solve(g_mid, (g_par - g_j) / (2.0 * fam.dtheta))
+    return g_mid, fib.full_differential(), w
+
+
+def h_form_expm(fam, t_scale=None):
+    """degree1[j] = Tr_s[W h'(X0)] at the midpoint of edge j, by expm."""
+    sign = fam.fibers[0].sign_weights()
+    out = np.zeros(fam.n_samples, dtype=complex)
+    for j in range(fam.n_samples):
+        g_mid, v, w = edge_data(fam, j, t_scale=t_scale)
+        out[j] = np.sum(sign * np.diag(w @ h_prime_mat(x0_of(v, g_mid))))
+    return out
+
+
+def transgression_expm(fam, metric_path, n_l=33):
+    """degree0[j] = int_0^1 Tr_s[(1/2) G^{-1} dG/dl h'(X0_l)] dl by expm,
+    with the nodes, Simpson weights and derivative rule of
+    forms.transgression."""
+    n_l += 1 - n_l % 2
+    ls = np.linspace(0.0, 1.0, n_l)
+    simp = np.ones(n_l)
+    simp[1:-1:2] = 4.0
+    simp[2:-1:2] = 2.0
+    simp *= (ls[1] - ls[0]) / 3.0
+    sign = fam.fibers[0].sign_weights()
+    deriv = getattr(metric_path, "derivative", None)
+
+    def full(f, l, j):
+        return scipy.linalg.block_diag(*[np.asarray(g, dtype=complex) for g in f(l, j)])
+
+    out = np.zeros(fam.n_samples, dtype=complex)
+    for j in range(fam.n_samples):
+        v = fam.fibers[j].full_differential()
+        for wl, l in zip(simp, ls):
+            g = full(metric_path, l, j)
+            if deriv is not None:
+                gdot = full(deriv, l, j)
+            else:
+                l0, l1 = max(0.0, l - 1e-6), min(1.0, l + 1e-6)
+                gdot = (full(metric_path, l1, j) - full(metric_path, l0, j)) / (l1 - l0)
+            c = 0.5 * np.linalg.solve(g, gdot)
+            out[j] += wl * np.sum(sign * np.diag(c @ h_prime_mat(x0_of(v, g))))
+    return out
