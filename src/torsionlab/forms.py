@@ -25,11 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
-import scipy.linalg
 
-from .graded import (GradedComplex, _adj, _laplacian_pencil, _pencil, _spectra,
-                     _spectral_integrand, _split_spectrum, euler_chars,
-                     euler_chars_cohomology)
+from .graded import (GradedComplex, _adj, _euler, _kernel_dims, _laplacian_eigh, _pencil,
+                     _spectral_integrand, euler_chars)
 
 __all__ = [
     "SuperconnectionFamily",
@@ -80,12 +78,12 @@ class SuperconnectionFamily:
     fibers[j] is the complex over sample j (identical ranks across j);
     transports[j] is the invertible grading-preserving matrix carrying the
     fiber at j to the fiber at j+1 (mod m), written on the direct sum of
-    all degrees.
+    all degrees. Every entry of the flatness residual
+    transports[j] v(j) - v(j+1) transports[j] must be at most 1e-9.
     """
 
     fibers: list
     transports: list
-    flatness_tol: float = 1e-9
 
     def __post_init__(self):
         m = len(self.fibers)
@@ -113,7 +111,7 @@ class SuperconnectionFamily:
             v_j = self.fibers[j].full_differential()
             v_next = self.fibers[(j + 1) % m].full_differential()
             res = self.transports[j] @ v_j - v_next @ self.transports[j]
-            if res.size and np.abs(res).max() > self.flatness_tol:
+            if res.size and np.abs(res).max() > 1e-9:
                 raise ValueError(
                     f"flatness residual {np.abs(res).max():.3e} on edge {j}"
                 )
@@ -190,23 +188,22 @@ def _supertrace_f(diffs, grams, gdots):
     gives the eigenvalues lam and U; V = L^{-H} U has V^H G_k V = 1, so the
     trace is sum_i f(lam_i) (V^H Gdot_k V)_ii."""
     total = 0.0
-    n = len(grams)
     for k, g in enumerate(grams):
         if g.shape[-1] == 0:
             continue
-        up = (diffs[k], grams[k + 1]) if k < n - 1 else None
-        down = (diffs[k - 1], grams[k - 1]) if k > 0 else None
         linv = np.linalg.inv(np.linalg.cholesky(g))
-        lam, u = np.linalg.eigh(linv @ _pencil(g, up, down) @ _adj(linv))
+        lam, u = np.linalg.eigh(linv @ _pencil(diffs, grams, k) @ _adj(linv))
         diag = np.sum(u.conj() * (linv @ gdots[k] @ _adj(linv) @ u), axis=-2)
         f = (1.0 - 0.5 * lam) * np.exp(-0.25 * lam)
         total = total + (-1.0) ** k * np.sum(f * diag, axis=-1)
     return total
 
 
-def _fiber_diffs(fam: SuperconnectionFamily):
-    """Per degree k, the differentials d_k of every sample, stacked."""
-    return [np.stack([f.diffs[k] for f in fam.fibers]) for k in range(len(fam.ranks) - 1)]
+def _stack(fam: SuperconnectionFamily):
+    """Per degree k, the differentials d_k and the Gram matrices G_k of
+    every sample, stacked along a leading sample axis."""
+    return ([np.stack([f.diffs[k] for f in fam.fibers]) for k in range(len(fam.ranks) - 1)],
+            [np.stack([f.metrics[k] for f in fam.fibers]) for k in range(len(fam.ranks))])
 
 
 def h_form(fam: SuperconnectionFamily, t_scale=None):
@@ -222,9 +219,9 @@ def h_form(fam: SuperconnectionFamily, t_scale=None):
     """
     n = fam.fibers[0].top_degree
     off = fam.fibers[0].offsets()
+    diffs, grams = _stack(fam)
     g_mid, g_dot = [], []
-    for k in range(n + 1):
-        g_j = np.stack([f.metrics[k] for f in fam.fibers])
+    for k, g_j in enumerate(grams):
         p = np.stack([t[off[k] : off[k + 1], off[k] : off[k + 1]] for t in fam.transports])
         g_par = _adj(p) @ np.roll(g_j, -1, axis=0) @ p
         if t_scale is not None:
@@ -232,7 +229,7 @@ def h_form(fam: SuperconnectionFamily, t_scale=None):
             g_j, g_par = s * g_j, s * g_par
         g_mid.append(0.5 * (g_j + g_par))
         g_dot.append((g_par - g_j) / (2.0 * fam.dtheta))
-    deg1 = _supertrace_f(_fiber_diffs(fam), g_mid, g_dot)
+    deg1 = _supertrace_f(diffs, g_mid, g_dot)
     return FormOnBase(np.zeros_like(deg1), deg1)
 
 
@@ -267,8 +264,10 @@ def transgression(fam: SuperconnectionFamily, metric_path, n_l=33):
 
     metric_path(l, j) returns one Gram matrix per degree for sample j. The
     l-derivative is a centered difference with step 1e-6 unless metric_path
-    has a 'derivative' attribute (called the same way); every metric
-    evaluated, difference points included, must be positive definite.
+    has a 'derivative' attribute (called the same way), one-sided with step
+    1e-6 at l = 0 and l = 1, where the node metrics are reused (3 n_l - 2
+    path calls per sample); every metric evaluated, difference points
+    included, must be positive definite.
     degree0[j] = int_0^1 Tr_s[(1/2) G^{-1} dG/dl h'(X0_l)] dl by Simpson's
     rule over n_l nodes, the integrand being
     (1/2) sum_k (-1)^k Tr[G_k^{-1} dG_k/dl f(Laplacian_k)] (Bismut-Zhang;
@@ -287,9 +286,12 @@ def transgression(fam: SuperconnectionFamily, metric_path, n_l=33):
         gdots = _path_metrics(fam, deriv, ls, check=False)
     else:
         hi, lo = np.minimum(1.0, ls + 1e-6), np.maximum(0.0, ls - 1e-6)
-        gdots = [(a - b) / (hi - lo)[:, None, None] for a, b in
-                 zip(_path_metrics(fam, metric_path, hi), _path_metrics(fam, metric_path, lo))]
-    diffs = [d[:, None] for d in _fiber_diffs(fam)]
+        # the clipped ends hi[-1] = 1 and lo[0] = 0 are nodes: reuse their metrics
+        up = _path_metrics(fam, metric_path, hi[:-1])
+        down = _path_metrics(fam, metric_path, lo[1:])
+        gdots = [(np.concatenate([u, g[:, -1:]], axis=1) - np.concatenate([g[:, :1], d], axis=1))
+                 / (hi - lo)[:, None, None] for g, u, d in zip(grams, up, down)]
+    diffs = [d[:, None] for d in _stack(fam)[0]]
     deg0 = scipy.integrate.simpson(0.5 * _supertrace_f(diffs, grams, gdots), x=ls, axis=-1)
     return FormOnBase(deg0, np.zeros(m, dtype=complex))
 
@@ -298,32 +300,41 @@ def transgression(fam: SuperconnectionFamily, metric_path, n_l=33):
 # torsion form
 # ---------------------------------------------------------------------------
 
-def torsion_form_TL(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200,
-                    tail_tol=1e-6):
+def torsion_form_TL(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200):
     """Deformation-parameter torsion form with lower cutoff tau.
 
     Quadrature is trapezoidal in log t over n_t log-spaced nodes on
     [tau, t_max]; the metric family is the canonical rescaling
-    t^{N - n/2} G. The integrand must have decayed below tail_tol at t_max
+    t^{N - n/2} G. The integrand must have decayed below 1e-6 at t_max
     (its (chi'(H) - n/2 chi(H))/2t parts, the large-t limit of
     Tr_s[(N - n/2) h'(X_t)], cancel by construction), otherwise
     TailNotConvergedError is raised. The degree-1 part, an integral of
     Tr[(N - n/2) Dh'(X0_t)[sigma W]], is zero by parity (see FormOnBase).
+
+    The spectra of all m fibers come from one eigensolve per degree, with
+    the samples on a leading batch axis, and the integrand from one call
+    with shape (m, n_t); chi(H) is read from the fiber-0 row (flat
+    families: every fiber has the same cohomology).
     """
+    return _torsion_form(fam, tau, t_max, n_t)[0]
+
+
+def _torsion_form(fam: SuperconnectionFamily, tau, t_max, n_t):
+    """torsion_form_TL and the fiber-0 dims of H^k, from the same spectra."""
     if not (0.0 < tau < t_max):
         raise ValueError("need 0 < tau < t_max")
     m = fam.n_samples
-    e, eh = euler_chars(fam.fibers[0]), euler_chars_cohomology(fam.fibers[0])
+    diffs, grams = _stack(fam)
+    spectra = [_laplacian_eigh(diffs, grams, k) for k in range(len(grams))]
+    h = _kernel_dims([spec[0] for spec in spectra])
     ts = np.geomspace(tau, t_max, n_t)
-    deg0_int = np.zeros((m, n_t))
-    for j in range(m):
-        deg0_int[j] = _spectral_integrand(_spectra(fam.fibers[j]), e, eh, ts)
+    deg0_int = _spectral_integrand(spectra, euler_chars(fam.fibers[0]), _euler(h), ts)
     tail = np.abs(deg0_int[:, -1]).max()
-    if tail > tail_tol:
+    if tail > 1e-6:
         raise TailNotConvergedError(f"integrand at t_max={t_max} is {tail:.3e}; increase t_max")
     log_w = _trapezoid_weights_log(ts)
     deg0 = (deg0_int * (log_w * ts)[None, :]).sum(axis=1)
-    return FormOnBase(deg0.astype(complex), np.zeros(m, dtype=complex))
+    return FormOnBase(deg0.astype(complex), np.zeros(m, dtype=complex)), h
 
 
 def _trapezoid_weights_log(ts):
@@ -339,50 +350,33 @@ def _trapezoid_weights_log(ts):
 # harmonic bundle and anomaly residual
 # ---------------------------------------------------------------------------
 
-def _harmonic_basis(fib: GradedComplex):
-    """Per degree: G-orthonormal basis of ker(Laplacian_k) of one fiber."""
-    per_deg = []
-    for k in range(len(fib.ranks)):
-        r = fib.ranks[k]
-        if r == 0:
-            per_deg.append(np.zeros((0, 0), dtype=complex))
-            continue
-        mmat, g = _laplacian_pencil(fib, k)
-        w, vecs = scipy.linalg.eigh(mmat, g)
-        _, nonzero = _split_spectrum(w, check_band=False)
-        ker = r - nonzero.size
-        per_deg.append(vecs[:, :ker])  # eigh(.., g) returns G-orthonormal
-    return per_deg
-
-
-def _has_harmonics(fam: SuperconnectionFamily):
-    """Whether the first fiber has cohomology (flat families: every fiber)."""
-    return any(b.size for b in _harmonic_basis(fam.fibers[0]))
-
-
 def harmonic_connection_form(fam: SuperconnectionFamily):
     """Degree-1 part of the h-form of the Gauss-Manin connection on H.
 
-    Harmonic frames are G-orthonormal per sample; transport is projection
-    after parallel transport, and W_H per edge is
+    Harmonic frames are G-orthonormal per sample (the kernel eigenvectors
+    of one eigensolve per degree over all samples); transport is
+    projection after parallel transport, and W_H per edge is
     (P_H^H P_H - 1) / (2 dtheta) in those frames. Returns a per-edge array
-    Tr_s[W_H] (h'(0) = 1).
+    Tr_s[W_H] (h'(0) = 1), zero when the fibers are acyclic.
     """
     m = fam.n_samples
-    bases = [_harmonic_basis(fib) for fib in fam.fibers]
+    diffs, grams = _stack(fam)
+    bases = []
+    for k in range(len(grams)):
+        lam, vecs = _laplacian_eigh(diffs, grams, k, vectors=True)
+        bases.append([v[:, :ker] for v, ker in zip(vecs, _kernel_dims(lam))])
     off = fam.fibers[0].offsets()
     out = np.zeros(m, dtype=complex)
     for j in range(m):
         jn = (j + 1) % m
         acc = 0.0 + 0.0j
-        for k in range(len(fam.fibers[0].ranks)):
-            b_j = bases[j][k]
-            b_jn = bases[jn][k]
+        for k in range(len(grams)):
+            b_j = bases[k][j]
+            b_jn = bases[k][jn]
             if b_j.size == 0 or b_jn.size == 0:
                 continue
             p_blk = fam.transports[j][off[k] : off[k + 1], off[k] : off[k + 1]]
-            g_blk = fam.fibers[jn].metrics[k]
-            ph = b_jn.conj().T @ g_blk @ (p_blk @ b_j)
+            ph = b_jn.conj().T @ grams[k][jn] @ (p_blk @ b_j)
             # pullback Gram of the transported frame; midpoint-centered
             # quotient keeps the edge derivative second-order accurate
             phi = ph.conj().T @ ph
@@ -398,10 +392,10 @@ def anomaly_check(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200):
 
     Returns a dict with the per-edge residual array and its max modulus.
     """
-    tl = torsion_form_TL(fam, tau, t_max=t_max, n_t=n_t)
+    tl, h = _torsion_form(fam, tau, t_max, n_t)
     lhs = tl.dS()
     rhs = h_form(fam, t_scale=tau).degree1
-    if _has_harmonics(fam):
+    if any(h):
         rhs = rhs - harmonic_connection_form(fam)
     res = lhs - rhs
     return {
@@ -467,10 +461,8 @@ def grr_residual(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200):
     max edge residual and, separately, the local term h(A, metric at tau)
     which the identity predicts to be the entire residual.
     """
-    tl = torsion_form_TL(fam, tau, t_max=t_max, n_t=n_t)
-    lhs = tl.dS()
-    gm = harmonic_connection_form(fam) if _has_harmonics(fam) else np.zeros(fam.n_samples)
-    res = lhs + gm
+    tl, h = _torsion_form(fam, tau, t_max, n_t)
+    res = tl.dS() + (harmonic_connection_form(fam) if any(h) else 0.0)
     local = h_form(fam, t_scale=tau).degree1
     return {
         "residual": res,

@@ -82,14 +82,14 @@ class GradedComplex:
 
     ranks[k] is dim C^k; diffs[k] is the matrix of d_k with shape
     (ranks[k+1], ranks[k]); metrics[k] is the Hermitian positive Gram
-    matrix of C^k. Validation of d^2 = 0 and metric positivity happens at
-    construction.
+    matrix of C^k. Validation of d^2 = 0 (every entry of d_{k+1} d_k within
+    1e-9 max(1, |d_k|_max |d_{k+1}|_max)) and of metric positivity happens
+    at construction.
     """
 
     ranks: tuple
     diffs: list = field(default_factory=list)
     metrics: list = field(default_factory=list)
-    d2_tol: float = 1e-9
 
     def __post_init__(self):
         self.ranks = tuple(int(r) for r in self.ranks)
@@ -124,7 +124,7 @@ class GradedComplex:
         for k in range(len(self.diffs) - 1):
             prod = self.diffs[k + 1] @ self.diffs[k]
             scale = max(1.0, absmax(self.diffs[k]) * absmax(self.diffs[k + 1]))
-            if absmax(prod) > self.d2_tol * scale:
+            if absmax(prod) > 1e-9 * scale:
                 raise ValueError(f"d_{k + 1} d_{k} != 0 (max entry {absmax(prod):.3e})")
 
     # -- convenience ----------------------------------------------------
@@ -217,38 +217,42 @@ def _adj(a):
     return a.conj().swapaxes(-1, -2)
 
 
-def _pencil(g, up=None, down=None):
-    """Hermitian M with G^{-1} M the Laplacian of one degree, from its Gram
-    matrix g, up = (d_k, G_{k+1}) and down = (d_{k-1}, G_{k-1}) (None at
-    the ends). Every argument may carry leading batch axes, which
-    broadcast as in np.matmul."""
+def _pencil(diffs, grams, k):
+    """Hermitian M_k with G_k^{-1} M_k the degree-k Laplacian of the
+    differentials diffs and Gram matrices grams. Every array may carry
+    leading batch axes, which broadcast as in np.matmul."""
+    g = grams[k]
     terms = []
-    if up is not None:
-        d, g_up = up
-        terms.append(_adj(d) @ g_up @ d)
-    if down is not None:
-        d, g_down = down
-        inner = np.linalg.solve(g_down, _adj(d) @ g)
-        terms.append(g @ d @ inner)
+    if k < len(diffs):
+        d = diffs[k]
+        terms.append(_adj(d) @ grams[k + 1] @ d)
+    if k > 0:
+        d = diffs[k - 1]
+        terms.append(g @ d @ np.linalg.solve(grams[k - 1], _adj(d) @ g))
     m = np.zeros(np.broadcast_shapes(g.shape, *(t.shape for t in terms)), dtype=complex)
     for t in terms:
         m += t
     return 0.5 * (m + _adj(m))
 
 
-def _laplacian_pencil(c: GradedComplex, k: int):
-    """Hermitian pencil (M_k, G_k) with G_k^{-1} M_k = Laplacian_k."""
-    up = (c.diffs[k], c.metrics[k + 1]) if k < len(c.diffs) else None
-    down = (c.diffs[k - 1], c.metrics[k - 1]) if k > 0 else None
-    return _pencil(c.metrics[k], up, down), c.metrics[k]
+def _laplacian_eigh(diffs, grams, k, vectors=False):
+    """Ascending spectrum of the degree-k Laplacian pencil (M_k, G_k) of
+    diffs and grams (see _pencil), and with vectors its G_k-orthonormal
+    eigenvectors as columns, from one scipy.linalg.eigh call. Leading
+    batch axes (one slot per complex) may be absent; they are kept in front
+    of the eigenvalue axis. Every Laplacian spectrum and harmonic basis of
+    graded and forms comes from here, except the Cholesky route of
+    forms._supertrace_f, which shares only _pencil."""
+    g = grams[k]
+    if g.shape[-1] == 0:
+        lam = np.zeros(g.shape[:-1])
+        return (lam, np.zeros(g.shape, dtype=complex)) if vectors else lam
+    return scipy.linalg.eigh(_pencil(diffs, grams, k), g, eigvals_only=not vectors)
 
 
 def laplacian_spectrum(c: GradedComplex, k: int):
     """Real spectrum of the degree-k Laplacian (ascending)."""
-    if c.ranks[k] == 0:
-        return np.zeros(0)
-    m, g = _laplacian_pencil(c, k)
-    return scipy.linalg.eigh(m, g, eigvals_only=True)
+    return _laplacian_eigh(c.diffs, c.metrics, k)
 
 
 def _kernel_threshold(spec):
@@ -281,13 +285,13 @@ def _euler(dims):
     return EulerData(int(chi), int(chi_p))
 
 
-def _kernel_dims(spectra, check_band=False):
-    return [_split_spectrum(spec, check_band=check_band)[0] for spec in spectra]
+def _kernel_dims(spectra):
+    return [_split_spectrum(spec, check_band=False)[0] for spec in spectra]
 
 
-def cohomology_dims(c: GradedComplex, check_band=False):
+def cohomology_dims(c: GradedComplex):
     """dim H^k as the kernel dimension of the degree-k Laplacian."""
-    return _kernel_dims(_spectra(c), check_band=check_band)
+    return _kernel_dims(_spectra(c))
 
 
 def euler_chars(c: GradedComplex):
@@ -307,11 +311,8 @@ def finite_torsion(c: GradedComplex):
     ambiguity band raises IndeterminateKernelError.
     """
     total = 0.0
-    for k in range(len(c.ranks)):
-        if k == 0 or c.ranks[k] == 0:
-            continue
-        spec = laplacian_spectrum(c, k)
-        _, nonzero = _split_spectrum(spec, check_band=True)
+    for k in range(1, len(c.ranks)):  # degree 0 has weight k = 0: not solved
+        _, nonzero = _split_spectrum(laplacian_spectrum(c, k), check_band=True)
         if nonzero.size:
             total += 0.5 * (-1.0) ** k * k * np.log(nonzero).sum()
     return float(total)
@@ -320,7 +321,9 @@ def finite_torsion(c: GradedComplex):
 def _spectral_integrand(spectra, e, eh, t):
     """-Tr_s[(N - n/2) h'(X_t)]/(2t) plus the counterterm, from the
     per-degree Laplacian spectra, the Euler data e of the complex and eh
-    of its cohomology; t is an array.
+    of its cohomology; t is an array. The spectra may carry leading batch
+    axes (one slot per complex, all with data e and eh, as from
+    _laplacian_eigh); the result has those axes in front of the axes of t.
 
     On degree k, h'(X_t) = f(t Laplacian_k) with f(x) = (1 - x/2) e^{-x/4}.
     The supertrace tends to L = chi'(H) - n/2 chi(H) as t -> inf and to
@@ -330,13 +333,13 @@ def _spectral_integrand(spectra, e, eh, t):
     and, by Frullani, integrates to the finite torsion of any complex.
     """
     n = len(spectra) - 1
-    spectral = np.zeros_like(t)
+    spectral = np.zeros(spectra[0].shape[:-1] + t.shape)
     for k, spec in enumerate(spectra):
         if spec.size == 0:
             continue
-        lam = spec[:, None]
-        hp = (1.0 - 0.5 * t[None, :] * lam) * np.exp(-0.25 * t[None, :] * lam)
-        spectral += (-1.0) ** k * (k - 0.5 * n) * hp.sum(axis=0)
+        lam = spec[..., None]
+        hp = (1.0 - 0.5 * t * lam) * np.exp(-0.25 * t * lam)
+        spectral += (-1.0) ** k * (k - 0.5 * n) * hp.sum(axis=-2)
     large = eh.chi_prime - 0.5 * n * eh.chi
     small = e.chi_prime - 0.5 * n * eh.chi  # chi(E) = chi(H)
     counter = large + (small - large) * np.real(h_prime(0.5j * np.sqrt(t)))

@@ -7,8 +7,9 @@ from torsionlab.acceptance import _anomaly_family as anomaly_family
 from torsionlab.acceptance import random_metric
 from torsionlab.graded import GradedComplex, euler_chars_cohomology, finite_torsion
 
-from util import (edge_data, h_form_expm, h_prime_mat, random_complex, random_flat_family,
-                  transgression_expm)
+from util import (edge_data, h_form_expm, h_prime_mat, harmonic_basis,
+                  harmonic_connection_form_per_fiber, random_complex, random_flat_family,
+                  torsion_form_per_fiber, transgression_expm)
 
 
 def _x0(fiber):
@@ -214,6 +215,23 @@ def test_transgression_positivity_guard():
         F.transgression(fam, difference_point, n_l=17)
 
 
+def test_transgression_calls_path_once_per_point():
+    # each sample's path is called at the n_l nodes and at the difference
+    # points l +- 1e-6 inside [0, 1]: 3 n_l - 2 distinct l, none twice
+    fam = anomaly_family(16)
+    calls = {}
+
+    def path(l, j):
+        calls.setdefault(j, []).append(l)
+        return [(1 - l) * np.eye(len(g)) + l * np.asarray(g) for g in fam.fibers[j].metrics]
+
+    F.transgression(fam, path, n_l=17)
+    assert sorted(calls) == list(range(16))
+    for ls in calls.values():
+        assert len(ls) == len(set(ls)) == 3 * 17 - 2
+        assert (min(ls), max(ls)) == (0.0, 1.0)
+
+
 def test_parity_zero_parts_vanish():
     # the parts of the forms that are not computed are exactly zero: for
     # odd X and even Y, Dh'(X)[Y] has a zero block diagonal
@@ -266,6 +284,51 @@ def test_torsion_form_point_base_matches_finite_torsion():
         rich = 2 * vals[1] - vals[0]
         assert abs(rich - finite_torsion(fib)) <= 1e-4
         done += 1
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_batched_eigensolves_match_per_fiber_routes():
+    # one eigensolve per degree over all fibers gives the bits of the
+    # fiber-by-fiber routes: acyclic fibers (anomaly family), a rank-0
+    # degree with H^0 != 0, and a circle fiber with a varying harmonic metric
+    prof = lambda th: (np.exp(0.25 * np.sin(th)), 1.0)
+    rank0 = random_flat_family(np.random.default_rng(8), m=16)
+    assert 0 in rank0.ranks
+    cases = [(anomaly_family(32), 80.0, False), (anomaly_family(64), 80.0, False),
+             (rank0, 80.0, True),
+             (F.circle_fiber_family(32, 10, harmonic_scale_profile=prof), 150.0, True)]
+    for fam, t_max, harmonic in cases:
+        assert any(b.size for b in harmonic_basis(fam.fibers[0])) == harmonic
+        tl = F.torsion_form_TL(fam, 1e-3, t_max=t_max, n_t=150)
+        assert _same_bits(tl.degree0, torsion_form_per_fiber(fam, 1e-3, t_max=t_max, n_t=150))
+        gm = harmonic_connection_form_per_fiber(fam)
+        assert _same_bits(F.harmonic_connection_form(fam), gm)
+        local = F.h_form(fam, t_scale=1e-3).degree1
+        out = F.anomaly_check(fam, 1e-3, t_max=t_max, n_t=150)
+        assert _same_bits(out["residual"], tl.dS() - (local - gm if harmonic else local))
+        out = F.grr_residual(fam, 1e-3, t_max=t_max, n_t=150)
+        gm_or_zero = gm if harmonic else np.zeros(fam.n_samples)
+        assert _same_bits(out["residual"], tl.dS() + gm_or_zero)
+
+
+def test_torsion_form_one_eigensolve_per_degree(monkeypatch):
+    calls = []
+    solve = scipy.linalg.eigh
+
+    def counting(a, b, **kwargs):
+        calls.append(a.shape)
+        return solve(a, b, **kwargs)
+
+    for m in (16, 64):
+        fam = anomaly_family(m)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy.linalg, "eigh", counting)
+            F.torsion_form_TL(fam, 1e-3)
+        assert calls == [(m, 1, 1), (m, 2, 2), (m, 1, 1)]
 
 
 def test_torsion_form_tail_guard():

@@ -4,8 +4,9 @@ import numpy as np
 import scipy.linalg
 
 from torsionlab.acceptance import random_complex
-from torsionlab.graded import GradedComplex
-from torsionlab.forms import SuperconnectionFamily
+from torsionlab.graded import (GradedComplex, _pencil, _spectral_integrand, _split_spectrum,
+                               euler_chars, euler_chars_cohomology, laplacian_spectrum)
+from torsionlab.forms import SuperconnectionFamily, _trapezoid_weights_log
 
 
 def random_flat_family(rng, m=16):
@@ -59,8 +60,6 @@ def random_flat_family(rng, m=16):
 
 
 def _min_nonzero_eig(c):
-    from torsionlab.graded import laplacian_spectrum, _split_spectrum
-
     vals = []
     for k in range(len(c.ranks)):
         if c.ranks[k] == 0:
@@ -141,4 +140,59 @@ def transgression_expm(fam, metric_path, n_l=33):
                 gdot = (full(metric_path, l1, j) - full(metric_path, l0, j)) / (l1 - l0)
             c = 0.5 * np.linalg.solve(g, gdot)
             out[j] += wl * np.sum(sign * np.diag(c @ h_prime_mat(x0_of(v, g))))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the fiber-by-fiber routes to the torsion form and the Gauss-Manin term: an
+# oracle for the batched Laplacian eigensolves of torsionlab.forms
+# ---------------------------------------------------------------------------
+
+def torsion_form_per_fiber(fam, tau, t_max=80.0, n_t=200):
+    """degree0 of forms.torsion_form_TL from one eigensolve per fiber and
+    degree and one integrand call per fiber."""
+    e, eh = euler_chars(fam.fibers[0]), euler_chars_cohomology(fam.fibers[0])
+    ts = np.geomspace(tau, t_max, n_t)
+    deg0_int = np.zeros((fam.n_samples, n_t))
+    for j, fib in enumerate(fam.fibers):
+        spectra = [laplacian_spectrum(fib, k) for k in range(len(fib.ranks))]
+        deg0_int[j] = _spectral_integrand(spectra, e, eh, ts)
+    return (deg0_int * (_trapezoid_weights_log(ts) * ts)[None, :]).sum(axis=1).astype(complex)
+
+
+def harmonic_basis(fib):
+    """Per degree: G-orthonormal basis of ker(Laplacian_k) of one fiber,
+    from its own eigensolve (eigh with a Gram matrix returns G-orthonormal
+    vectors)."""
+    per_deg = []
+    for k, r in enumerate(fib.ranks):
+        if r == 0:
+            per_deg.append(np.zeros((0, 0), dtype=complex))
+            continue
+        w, vecs = scipy.linalg.eigh(_pencil(fib.diffs, fib.metrics, k), fib.metrics[k])
+        ker = r - _split_spectrum(w, check_band=False)[1].size
+        per_deg.append(vecs[:, :ker])
+    return per_deg
+
+
+def harmonic_connection_form_per_fiber(fam):
+    """forms.harmonic_connection_form from the bases of harmonic_basis."""
+    m = fam.n_samples
+    bases = [harmonic_basis(fib) for fib in fam.fibers]
+    off = fam.fibers[0].offsets()
+    out = np.zeros(m, dtype=complex)
+    for j in range(m):
+        jn = (j + 1) % m
+        acc = 0.0 + 0.0j
+        for k in range(len(fam.ranks)):
+            b_j, b_jn = bases[j][k], bases[jn][k]
+            if b_j.size == 0 or b_jn.size == 0:
+                continue
+            p_blk = fam.transports[j][off[k] : off[k + 1], off[k] : off[k + 1]]
+            ph = b_jn.conj().T @ fam.fibers[jn].metrics[k] @ (p_blk @ b_j)
+            phi = ph.conj().T @ ph
+            eye = np.eye(phi.shape[0])
+            w_h = np.linalg.solve(0.5 * (eye + phi), (phi - eye)) / (2.0 * fam.dtheta)
+            acc += (-1.0) ** k * np.trace(w_h)
+        out[j] = acc
     return out
