@@ -354,7 +354,8 @@ def harmonic_connection_form(fam: SuperconnectionFamily):
     """Degree-1 part of the h-form of the Gauss-Manin connection on H.
 
     Harmonic frames are G-orthonormal per sample (the kernel eigenvectors
-    of one eigensolve per degree over all samples); transport is
+    of one eigensolve per degree over all samples, dim H^k read from the
+    fiber-0 spectrum: flat families have one cohomology); transport is
     projection after parallel transport, and W_H per edge is
     (P_H^H P_H - 1) / (2 dtheta) in those frames. Returns a per-edge array
     Tr_s[W_H] (h'(0) = 1), zero when the fibers are acyclic.
@@ -364,7 +365,7 @@ def harmonic_connection_form(fam: SuperconnectionFamily):
     bases = []
     for k in range(len(grams)):
         lam, vecs = _laplacian_eigh(diffs, grams, k, vectors=True)
-        bases.append([v[:, :ker] for v, ker in zip(vecs, _kernel_dims(lam))])
+        bases.append(vecs[..., : _kernel_dims([lam[0]])[0]])
     off = fam.fibers[0].offsets()
     out = np.zeros(m, dtype=complex)
     for j in range(m):

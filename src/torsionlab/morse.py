@@ -1,10 +1,11 @@
 """Thom-Smale complexes on flat circles and 2-tori with unitary coefficients.
 
 Critical points come from seeded Newton on the periodic chart; flow lines
-between index-adjacent pairs are found by shooting along one-dimensional
-unstable (or time-reversed stable) eigendirections, with signs fixed by
-comparing the transported unstable frame against arrival data and the
-coefficient transport given by the winding of the connecting trajectory.
+between index-adjacent pairs are shot from the index-1 points along their
+one-dimensional unstable (and, on the torus, time-reversed stable)
+eigendirections, with signs fixed by comparing the unstable frames against
+arrival data and the coefficient transport given by the winding of the
+connecting trajectory.
 The resulting complex feeds the scalar-torsion machinery; suspension and
 ball-removal bookkeeping live here too, as does the twisted-circle
 comparison of combinatorial against zeta-regularized analytic torsion.
@@ -30,7 +31,6 @@ __all__ = [
     "circle_model",
     "torus_model",
     "fiber_criticals",
-    "flow_lines",
     "build_complex",
     "suspend",
     "gaussian_normalization_probe",
@@ -225,119 +225,40 @@ def _solve_each(hess, grad):
     return step, solved
 
 
-def _shoot(model, start, direction, targets, sign_time, tol=1e-10, skip=None):
-    """Integrate sign_time * (-grad f) from start + eps*direction until a
-    target critical point is approached within 1e-4. Returns (target index,
-    arrival velocity direction, unwrapped displacement). The source point
-    itself is skipped (the flow leaves its own detection ball).
+def _shoot(model, c, direction, criticals, sign_time):
+    """Integrate sign_time * (-grad f) from c + 1e-6 * direction until the
+    flow comes within 1e-4 (periodic distance) of a critical point other
+    than c. Returns (that critical point, arrival velocity direction,
+    unwrapped displacement); raises RuntimeError when the flow reaches none.
 
     The integrator is the 8th-order Dormand-Prince pair (DOP853): at this
     tolerance it takes far fewer steps than a 5th-order one. Only the
     target, the arrival direction's sign against the frames and the
     integer winding of the displacement reach the complex."""
-    eps = 1e-6
+    others = [x for x in criticals if x is not c]
+    locs = np.array([x.location for x in others])
 
     def rhs(t, u):
         return sign_time * (-model.grad(u))
 
-    u0 = start + eps * direction
-    events = []
+    def dists(u):
+        return _row_norms(np.mod(u - locs + np.pi, 2 * np.pi) - np.pi)
 
-    def make_event(c):
-        def ev(t, u):
-            return np.linalg.norm(np.mod(u - c.location + np.pi, 2 * np.pi) - np.pi) - 1e-4
+    def arrived(t, u):
+        return dists(u).min() - 1e-4
 
-        ev.terminal = True
-        return ev
-
-    def never(t, u):
-        return 1.0
-
-    for c in targets:
-        events.append(never if c is skip else make_event(c))
+    arrived.terminal = True
     sol = scipy.integrate.solve_ivp(
-        rhs, (0.0, 1e4), u0, method="DOP853", events=events, rtol=tol, atol=1e-12,
-        max_step=1.0,
+        rhs, (0.0, 1e4), c.location + 1e-6 * direction, method="DOP853", events=arrived,
+        rtol=1e-10, atol=1e-12, max_step=1.0,
     )
-    hit = [i for i, te in enumerate(sol.t_events) if te.size]
-    if not hit:
-        return None
-    i_target = hit[0]
-    u_end = sol.y_events[i_target][0]
+    if not sol.t_events[0].size:
+        raise RuntimeError("flow line escaped; model not Thom-Smale")
+    u_end = sol.y_events[0][0]
     vel = rhs(0.0, u_end)
     nv = np.linalg.norm(vel)
     vel = vel / nv if nv > 0 else vel
-    disp = u_end - start  # unwrapped chart displacement
-    return i_target, vel, disp
-
-
-def flow_lines(model: ManifoldModel, criticals, p: Critical, q: Critical):
-    """Signed, transported flow lines from p to q (ind p = ind q + 1).
-
-    For a one-dimensional unstable manifold we shoot forward from p; when
-    instead the stable manifold of q is one-dimensional (the top-index case
-    on the torus) we shoot backward from q and reverse. The sign compares
-    the chosen unstable frame of p against (-velocity) wedged with the
-    frame of q at arrival; transport is the holonomy of the winding.
-    """
-    return _flow_lines(model, criticals, p, q, {})
-
-
-def _flow_lines(model, criticals, p, q, shots):
-    """flow_lines, with each shot kept in shots under (start point, sign of
-    the start direction, time sign): its target does not depend on the
-    partner, so one dict shared over all pairs shoots each trajectory once."""
-
-    def shoot(c, line, s0, sign_time):
-        key = (id(c), s0, sign_time)
-        if key not in shots:
-            shots[key] = _shoot(model, c.location, s0 * line, criticals,
-                                sign_time=sign_time, skip=c)
-        return shots[key]
-
-    if p.index != q.index + 1:
-        raise ValueError("flow lines need index difference one")
-    d = model.dim
-    out = []
-    if p.index == 1:
-        # forward shooting along the 1-d unstable line of p
-        line = p.frame[:, 0]
-        for s0 in (+1.0, -1.0):
-            res = shoot(p, line, s0, +1.0)
-            if res is None:
-                raise RuntimeError("flow line escaped; model not Thom-Smale")
-            i_t, vel, disp = res
-            target = criticals[i_t]
-            if np.linalg.norm(np.mod(target.location - q.location + np.pi, 2 * np.pi) - np.pi) > 1e-8:
-                if target.index == p.index or abs(target.value - p.value) < 1e-12:
-                    raise RuntimeError(f"non-transversal flow near {target.location}")
-                continue
-            n = _orientation_sign(p, q, -vel)
-            wind = _winding(p.location, q.location, disp)
-            out.append((n, wind, _transport(model, wind)))
-    elif q.index == d - 1:
-        # backward shooting along the 1-d stable line of q
-        h = model.hess(q.location)
-        spec, vecs = np.linalg.eigh(h)
-        stable = vecs[:, spec > 0]
-        line = stable[:, 0]
-        for s0 in (+1.0, -1.0):
-            res = shoot(q, line, s0, -1.0)
-            if res is None:
-                raise RuntimeError("flow line escaped; model not Thom-Smale")
-            i_t, vel, disp = res
-            target = criticals[i_t]
-            if np.linalg.norm(np.mod(target.location - p.location + np.pi, 2 * np.pi) - np.pi) > 1e-8:
-                continue
-            # arrival velocity at q of the forward trajectory is the
-            # negative of the start direction of the backward one
-            arrive = -s0 * line
-            n = _orientation_sign(p, q, -np.asarray(arrive))
-            wind = _winding(p.location, q.location, -disp)
-            out.append((n, wind, _transport(model, wind)))
-    else:  # pragma: no cover - not reachable for circle/torus models
-        raise NotImplementedError("only 1-d unstable or stable shooting is shipped")
-    return out
+    return others[int(np.argmin(dists(u_end)))], vel, u_end - c.location
 
 
 def _orientation_sign(p: Critical, q: Critical, minus_vel):
@@ -372,28 +293,52 @@ def _transport(model: ManifoldModel, winding):
 
 
 def build_complex(model: ManifoldModel):
-    """Assemble the Thom-Smale cochain complex with unitary coefficients."""
+    """Assemble the Thom-Smale cochain complex with unitary coefficients.
+
+    On the circle and the 2-torus every flow line between critical points
+    of adjacent index passes through an index-1 point: it leaves one along
+    its unstable line (down to index 0) or, on the torus, arrives at one
+    along its stable line (up from index 2). So each index-1 point shoots
+    both unstable directions forward and, on the torus, both stable
+    directions backward: 2 shots per index-1 point on a circle, 4 on a
+    torus, every trajectory once. A shot that reaches a point of any other
+    index (another index-1 point) raises RuntimeError: the model is not
+    Thom-Smale. A line from p down to q is signed by comparing the unstable
+    frame of p against (-velocity, unstable frame of q) at arrival, and
+    transported by the holonomy of its winding. `flows` lists the lines of
+    every index-adjacent pair (i_p, i_q), empty ones included, in shot
+    order; each block of the differentials is the sum over its lines.
+    """
     criticals = fiber_criticals(model)
     d = model.dim
     m = model.rep_rank
     pos = {id(c): i for i, c in enumerate(criticals)}
-    by_index = {k: [c for c in criticals if c.index == k] for k in range(d + 1)}
-    ranks = tuple(m * len(by_index[k]) for k in range(d + 1))
-    flows, shots = {}, {}
-    diffs = []
-    for k in range(d):
-        rows = by_index[k + 1]
-        cols = by_index[k]
-        mat = np.zeros((m * len(rows), m * len(cols)), dtype=complex)
-        for ip, pcrit in enumerate(rows):
-            for iq, qcrit in enumerate(cols):
-                lines = _flow_lines(model, criticals, pcrit, qcrit, shots)
-                flows[(pos[id(pcrit)], pos[id(qcrit)])] = lines
-                block = np.zeros((m, m), dtype=complex)
-                for n, wind, tau in lines:
-                    block += n * tau
-                mat[ip * m : (ip + 1) * m, iq * m : (iq + 1) * m] = block
-        diffs.append(mat)
+    by_index = [[i for i, c in enumerate(criticals) if c.index == k] for k in range(d + 1)]
+    slot = {i: m * r for ix in by_index for r, i in enumerate(ix)}  # first row of i's block
+    flows = {(i, j): [] for k in range(d) for i in by_index[k + 1] for j in by_index[k]}
+    for c in (criticals[i] for i in by_index[1]):
+        axes = [(c.frame[:, 0], 1.0)]
+        if d == 2:
+            spec, vecs = np.linalg.eigh(model.hess(c.location))
+            axes.append((vecs[:, spec > 0][:, 0], -1.0))
+        for line, sign_time in axes:
+            for s0 in (+1.0, -1.0):
+                target, vel, disp = _shoot(model, c, s0 * line, criticals, sign_time)
+                if target.index != c.index - sign_time:  # index 0 forward, 2 backward
+                    raise RuntimeError(f"non-transversal flow near {target.location}")
+                if sign_time > 0:
+                    p, q, minus_vel = c, target, -vel
+                else:  # the forward trajectory arrives at c with velocity -s0 * line
+                    p, q, minus_vel, disp = target, c, s0 * line, -disp
+                wind = _winding(p.location, q.location, disp)
+                flows[pos[id(p)], pos[id(q)]].append(
+                    (_orientation_sign(p, q, minus_vel), wind, _transport(model, wind)))
+    ranks = tuple(m * len(ix) for ix in by_index)
+    diffs = [np.zeros((ranks[k + 1], ranks[k]), dtype=complex) for k in range(d)]
+    for (i, j), lines in flows.items():
+        block = diffs[criticals[j].index][slot[i] : slot[i] + m, slot[j] : slot[j] + m]
+        for n, _, tau in lines:
+            block += n * tau
     cpx = GradedComplex(ranks, diffs)
     return MorseComplexData(criticals=criticals, flows=flows, complex=cpx)
 
@@ -430,13 +375,14 @@ def suspend(data, N: int, T: float = 1.0):
     }
 
 
-def gaussian_normalization_probe(N: int, T: float, T2: float, n_quad=20_000):
+def gaussian_normalization_probe(N: int, T: float, T2: float):
     """Integrate the suspension Gaussian over the unstable plane under both
     normalizations and report which one is deformation-independent.
 
     The representative is exp(-2 T |x|^2) dx on R^N; the stated
     normalization divides by (2 pi T)^{N/2}, the probability one multiplies
-    by (2 T / pi)^{N/2}.
+    by (2 T / pi)^{N/2}. The radial quadrature is trapezoidal on 20,000
+    nodes over [0, 12 / sqrt(t)].
     """
     if N % 2 != 0 or N < 2:
         raise ValueError("N must be even and >= 2")
@@ -444,7 +390,7 @@ def gaussian_normalization_probe(N: int, T: float, T2: float, n_quad=20_000):
     def raw_integral(t):
         # radial quadrature of exp(-2 t |x|^2) over R^N
         surface = 2.0 * np.pi ** (N / 2.0) / math.gamma(N / 2.0)
-        rr = np.linspace(0.0, 12.0 / np.sqrt(t), n_quad)
+        rr = np.linspace(0.0, 12.0 / np.sqrt(t), 20_000)
         integrand = rr ** (N - 1) * np.exp(-2.0 * t * rr * rr)
         return surface * np.trapezoid(integrand, rr)
 
@@ -466,13 +412,11 @@ def gaussian_normalization_probe(N: int, T: float, T2: float, n_quad=20_000):
     return out
 
 
-def ball_removed_ranks(model: ManifoldModel, N: int, remove_ball=True, pair_index=0,
-                       coupling=2.0):
+def ball_removed_ranks(model: ManifoldModel, N: int, remove_ball=True):
     """Cohomology ranks of the suspended complex with one ball removed.
 
     Removing the ball adds an index-1 generator block plus a cancelling
-    block pair at degrees (N + pair_index, N + pair_index + 1) coupled by
-    an invertible multiple of the identity.
+    block pair at degrees (N, N + 1) coupled by twice the identity.
     """
     data = build_complex(model)
     sus = suspend(data, N)["complex"]
@@ -480,20 +424,17 @@ def ball_removed_ranks(model: ManifoldModel, N: int, remove_ball=True, pair_inde
         return cohomology_dims(sus)
     m = model.rep_rank
     top = len(sus.ranks) - 1
-    deg_lo = N + pair_index
-    if deg_lo + 1 > top:
-        raise ValueError("pair degree exceeds the suspended range")
     ranks = list(sus.ranks)
     ranks[1] += m
-    ranks[deg_lo] += m
-    ranks[deg_lo + 1] += m
+    ranks[N] += m
+    ranks[N + 1] += m
     diffs = []
     for k in range(top):
         d_old = sus.diffs[k]
         d = np.zeros((ranks[k + 1], ranks[k]), dtype=complex)
         d[: d_old.shape[0], : d_old.shape[1]] = d_old
-        if k == deg_lo:
-            d[d_old.shape[0] :, d_old.shape[1] :] = coupling * np.eye(m)
+        if k == N:
+            d[d_old.shape[0] :, d_old.shape[1] :] = 2.0 * np.eye(m)
         diffs.append(d)
     modified = GradedComplex(tuple(ranks), diffs)
     return cohomology_dims(modified)
@@ -503,18 +444,18 @@ def ball_removed_ranks(model: ManifoldModel, N: int, remove_ball=True, pair_inde
 # twisted-circle comparison
 # ---------------------------------------------------------------------------
 
-def zeta_log_det_twisted_circle(theta, prec=40):
+def zeta_log_det_twisted_circle(theta):
     """log of the zeta-regularized determinant of the twisted circle
     Laplacian, eigenvalues (n + theta / 2 pi)^2 over the integers.
 
     Computed as -d/ds [zeta_H(2s, a) + zeta_H(2s, 1 - a)] at s = 0 with the
-    Hurwitz zeta, by high-precision numerical differentiation; no closed
+    Hurwitz zeta, by numerical differentiation at 40 digits; no closed
     form is consulted.
     """
     alpha = (theta / (2.0 * np.pi)) % 1.0
     if alpha == 0.0:
         raise ValueError("twist must stay away from 0 mod 2 pi (acyclic case)")
-    with mpmath.workdps(prec):
+    with mpmath.workdps(40):
         a = mpmath.mpf(alpha)
 
         def zsum(s):
@@ -543,12 +484,12 @@ def _twisted_circle_discrete_eigs(theta, n_grid, k):
     return np.sort(w.real)
 
 
-def cheeger_muller_compare(theta, n_grid=2000, k_resolved=16):
+def cheeger_muller_compare(theta, n_grid=2000):
     """Combinatorial vs analytic torsion of the theta-twisted circle.
 
     combinatorial: Thom-Smale complex of the height circle with holonomy
     e^{i theta}. analytic exact: from the zeta oracle. analytic fem: the
-    lowest k_resolved zeta-free discrete eigenvalues replace their exact
+    lowest 16 zeta-free discrete eigenvalues replace their exact
     counterparts inside the zeta determinant.
     """
     if abs(np.exp(1j * theta) - 1.0) < 1e-10:
@@ -558,9 +499,10 @@ def cheeger_muller_compare(theta, n_grid=2000, k_resolved=16):
     logdet = zeta_log_det_twisted_circle(theta)
     analytic_exact = -0.5 * logdet
     alpha = (theta / (2.0 * np.pi)) % 1.0
-    ns = np.arange(-k_resolved - 2, k_resolved + 3)
-    exact_eigs = np.sort((ns + alpha) ** 2)[:k_resolved]
-    disc_eigs = _twisted_circle_discrete_eigs(theta, n_grid, k_resolved)
+    k = 16
+    ns = np.arange(-k - 2, k + 3)
+    exact_eigs = np.sort((ns + alpha) ** 2)[:k]
+    disc_eigs = _twisted_circle_discrete_eigs(theta, n_grid, k)
     logdet_fem = logdet + float(np.sum(np.log(disc_eigs) - np.log(exact_eigs)))
     analytic_fem = -0.5 * logdet_fem
     return {

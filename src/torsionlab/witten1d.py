@@ -43,6 +43,7 @@ __all__ = [
     "WittenProblem1D",
     "SpectrumResult",
     "build_p_profile",
+    "circle_problem",
     "assemble",
     "assemble_factor",
     "spectrum",

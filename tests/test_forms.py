@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from torsionlab import forms as F
+from torsionlab import graded as G
 from torsionlab.acceptance import _anomaly_family as anomaly_family
 from torsionlab.acceptance import random_metric
 from torsionlab.graded import GradedComplex, euler_chars_cohomology, finite_torsion
@@ -312,6 +313,24 @@ def test_batched_eigensolves_match_per_fiber_routes():
         out = F.grr_residual(fam, 1e-3, t_max=t_max, n_t=150)
         gm_or_zero = gm if harmonic else np.zeros(fam.n_samples)
         assert _same_bits(out["residual"], tl.dS() + gm_or_zero)
+
+
+def test_harmonic_connection_form_reads_kernel_dims_once(monkeypatch):
+    # flat families have one cohomology: dim H^k comes from the fiber-0
+    # spectrum, one _split_spectrum call per degree, not one per fiber
+    prof = lambda th: (np.exp(0.25 * np.sin(th)), 1.0)
+    fam = F.circle_fiber_family(32, 10, harmonic_scale_profile=prof)
+    gm = harmonic_connection_form_per_fiber(fam)
+    calls = []
+    split = G._split_spectrum
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec.shape)
+        return split(spec, *args, **kwargs)
+
+    monkeypatch.setattr(G, "_split_spectrum", counting)
+    assert _same_bits(F.harmonic_connection_form(fam), gm)
+    assert calls == [(10,), (10,)]
 
 
 def test_torsion_form_one_eigensolve_per_degree(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from torsionlab import morse as M
-from torsionlab.graded import cohomology_dims, euler_chars, finite_torsion
+from torsionlab.graded import GradedComplex, cohomology_dims, euler_chars, finite_torsion
 
 from util import random_complex
 
@@ -91,10 +91,57 @@ def _critical_bits(crits):
 
 
 def _complex_bits(data):
-    flows = {k: [(n, w, _bits(t)) for n, w, t in v] for k, v in data.flows.items()}
+    flows = [(k, [(n, w, _bits(t)) for n, w, t in v]) for k, v in data.flows.items()]
     cpx = data.complex
     return (_critical_bits(data.criticals), flows, cpx.ranks,
             [_bits(d) for d in cpx.diffs], [_bits(g) for g in cpx.metrics])
+
+
+def _flow_lines(model, criticals, p, q):
+    """Oracle: the signed, transported flow lines from p to q (ind p =
+    ind q + 1) of the pair alone, shot afresh: forward from p along its
+    unstable line when ind p = 1, else backward from q along its stable
+    line (the top-index pair on the torus), keeping the lines that reach
+    the partner."""
+    if p.index == 1:
+        c, partner, line, sign_time = p, q, p.frame[:, 0], 1.0
+    else:
+        spec, vecs = np.linalg.eigh(model.hess(q.location))
+        c, partner, line, sign_time = q, p, vecs[:, spec > 0][:, 0], -1.0
+    out = []
+    for s0 in (+1.0, -1.0):
+        target, vel, disp = M._shoot(model, c, s0 * line, criticals, sign_time)
+        if target is not partner:
+            continue
+        if sign_time > 0:
+            n, wind = M._orientation_sign(p, q, -vel), M._winding(p.location, q.location, disp)
+        else:  # arrival at q along -s0 * line, displacement reversed
+            n = M._orientation_sign(p, q, s0 * line)
+            wind = M._winding(p.location, q.location, -disp)
+        out.append((n, wind, M._transport(model, wind)))
+    return out
+
+
+def _per_pair_complex(model):
+    """Oracle: the complex assembled pair by pair, each (p, q) block the
+    sum of _flow_lines(p, q), rows and columns in critical-point order."""
+    crit = M.fiber_criticals(model)
+    m = model.rep_rank
+    pos = {id(c): i for i, c in enumerate(crit)}
+    by_index = [[c for c in crit if c.index == k] for k in range(model.dim + 1)]
+    flows, diffs = {}, []
+    for k in range(model.dim):
+        mat = np.zeros((m * len(by_index[k + 1]), m * len(by_index[k])), dtype=complex)
+        for ip, p in enumerate(by_index[k + 1]):
+            for iq, q in enumerate(by_index[k]):
+                lines = flows[pos[id(p)], pos[id(q)]] = _flow_lines(model, crit, p, q)
+                block = np.zeros((m, m), dtype=complex)
+                for n, _, tau in lines:
+                    block += n * tau
+                mat[ip * m : (ip + 1) * m, iq * m : (iq + 1) * m] = block
+        diffs.append(mat)
+    ranks = tuple(m * len(c) for c in by_index)
+    return M.MorseComplexData(crit, flows, GradedComplex(ranks, diffs))
 
 
 def _sin_circle():
@@ -128,6 +175,8 @@ def test_build_complex_matches_per_seed_oracle(name, monkeypatch):
     model = ORACLE_MODELS[name]()
     data = M.build_complex(model)
     assert _critical_bits(M.fiber_criticals(model)) == _critical_bits(data.criticals)
+    # the per-pair assembly: same flows, key order, line order and blocks
+    assert _complex_bits(data) == _complex_bits(_per_pair_complex(model))
     # the oracle complex: per-seed Newton and flow lines shot with RK45
     solve_ivp = M.scipy.integrate.solve_ivp
 
@@ -139,29 +188,95 @@ def test_build_complex_matches_per_seed_oracle(name, monkeypatch):
     assert _complex_bits(data) == _complex_bits(M.build_complex(model))
 
 
-@pytest.mark.parametrize("freq", [1, 2, 3])
-def test_build_complex_shoots_each_trajectory_once(freq, monkeypatch):
-    # a shot's target does not depend on the partner, so build_complex
-    # shoots each (critical point, direction, time sign) once: 2 freq calls
-    # for the freq maxima, not 2 freq^2; the flows are those of flow_lines,
-    # which shoots afresh for every pair
-    model = M.circle_model(freq=freq)
+def _counting_shots(monkeypatch, wrap=None):
+    """Record (start point, sign_time) of every _shoot call, optionally
+    passing each result through wrap."""
     calls = []
     shoot = M._shoot
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return shoot(*args, **kwargs)
+    def counting(model, c, direction, criticals, sign_time):
+        calls.append((c, sign_time))
+        out = shoot(model, c, direction, criticals, sign_time)
+        return out if wrap is None else wrap(*out)
 
     monkeypatch.setattr(M, "_shoot", counting)
+    return calls
+
+
+SHOT_MODELS = {"1": lambda: M.circle_model(freq=1), "2": lambda: M.circle_model(freq=2),
+               "3": lambda: M.circle_model(freq=3), "torus": ORACLE_MODELS["torus"],
+               "torus-0.05+0.05": ORACLE_MODELS["torus-0.05+0.05"]}
+
+
+@pytest.mark.parametrize("name", list(SHOT_MODELS))
+def test_build_complex_shoots_each_trajectory_once(name, monkeypatch):
+    # every flow line passes through an index-1 point, so build_complex
+    # shoots from those alone, each direction once: 2 dim calls per index-1
+    # point (freq 3: 6 calls, where the per-pair oracle makes 18)
+    model = SHOT_MODELS[name]()
+    calls = _counting_shots(monkeypatch)
     data = M.build_complex(model)
-    assert len(calls) == 2 * freq
-    crit = data.criticals
-    per_pair = M.MorseComplexData(crit, {
-        key: M.flow_lines(model, crit, crit[key[0]], crit[key[1]]) for key in data.flows
-    }, data.complex)
-    assert len(calls) == 2 * freq + 2 * freq**2
-    assert _complex_bits(per_pair) == _complex_bits(data)
+    n_saddles = sum(c.index == 1 for c in data.criticals)
+    assert len(calls) == 2 * model.dim * n_saddles
+    assert all(c.index == 1 for c, _ in calls)
+    assert _complex_bits(data) == _complex_bits(_per_pair_complex(model))
+
+
+def _upright_torus():
+    # height of the upright torus, f = (2 + cos x) cos y: the invariant line
+    # x = pi runs from the saddle (pi, 0) down to the saddle (pi, pi), a flow
+    # line between points of equal index, so the model is not Thom-Smale
+    def grad(u):
+        return np.array([-np.sin(u[0]) * np.cos(u[1]), -(2 + np.cos(u[0])) * np.sin(u[1])])
+
+    def hess(u):
+        off = np.sin(u[0]) * np.sin(u[1])
+        return np.array([[-np.cos(u[0]) * np.cos(u[1]), off],
+                         [off, -(2 + np.cos(u[0])) * np.cos(u[1])]])
+
+    return M.ManifoldModel("torus2d", lambda u: (2 + np.cos(u[0])) * np.cos(u[1]), grad, hess,
+                           [np.eye(1, dtype=complex)] * 2)
+
+
+def test_backward_shot_onto_saddle_is_non_transversal(monkeypatch):
+    # the lower saddle shoots first; its backward shot up the line x = pi
+    # reaches the upper saddle
+    calls = _counting_shots(monkeypatch)
+    with pytest.raises(RuntimeError, match="non-transversal"):
+        M.build_complex(_upright_torus())
+    assert calls[-1][1] == -1.0
+
+
+def test_forward_shot_onto_saddle_is_non_transversal(monkeypatch):
+    # with the upper saddle listed first, its forward shot down the line
+    # x = pi reaches the lower saddle
+    model = _upright_torus()
+    crit = M.fiber_criticals(model)
+    assert [c.index for c in crit] == [0, 1, 1, 2]
+    monkeypatch.setattr(M, "fiber_criticals", lambda model: [crit[0], crit[2], crit[1], crit[3]])
+    calls = _counting_shots(monkeypatch)
+    with pytest.raises(RuntimeError, match="non-transversal"):
+        M.build_complex(model)
+    assert len(calls) == 1 and calls[0][0] is crit[2] and calls[0][1] == 1.0
+
+
+def test_escaped_flow_line_raises(monkeypatch):
+    # a flow that reaches no critical point before the end of the time span
+    solve_ivp = M.scipy.integrate.solve_ivp
+
+    def short(rhs, t_span, *args, **kwargs):
+        return solve_ivp(rhs, (0.0, 1.0), *args, **kwargs)
+
+    monkeypatch.setattr(M.scipy.integrate, "solve_ivp", short)
+    with pytest.raises(RuntimeError, match="escaped"):
+        M.build_complex(M.circle_model())
+
+
+def test_degenerate_orientation_raises(monkeypatch):
+    # an arrival velocity of zero spans nothing against the unstable frame
+    _counting_shots(monkeypatch, wrap=lambda target, vel, disp: (target, 0.0 * vel, disp))
+    with pytest.raises(RuntimeError, match="degenerate orientation"):
+        M.build_complex(M.circle_model())
 
 
 def test_singular_hessian_drops_only_its_seed():
