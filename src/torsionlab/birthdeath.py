@@ -128,16 +128,32 @@ class PiecewisePoly:
         return tuple(_horner_rows(self.tables[k].astype(s.dtype, copy=False), rows, x)
                      for k in orders)
 
-    def eval_scalar(self, s, order):
-        """Plain-float Horner at one point, for the ODE right-hand sides,
-        where the array path costs too much per call (see _value_grad_scalar)."""
-        x = float(s)
-        i = min(max(bisect.bisect_right(self.knots, x) - 1, 0), len(self.coeffs) - 1)
-        dx = x - self.knots[i]
-        acc = 0.0
-        for c in reversed(self.tables[order][i].tolist()):
-            acc = acc * dx + c
-        return acc
+    def point_evaluator(self, orders):
+        """Plain-float evaluator at one point: s -> [derivative of each order].
+
+        One bisection locates the piece, and each order runs the Horner sweep
+        of `derivs` over the same table row, so the results equal the
+        float64 results of `derivs` bit for bit. The rows are read once, here:
+        a call costs no numpy work, for ODE right-hand sides (see
+        `_point_kernel`). The zero-padded high powers are dropped; from a zero
+        accumulator they add nothing.
+        """
+        knots = self.knots
+        rows = [[np.trim_zeros(self.tables[k][piece], "b").tolist()[::-1] for k in orders]
+                for piece in range(len(self.coeffs))]
+
+        def at(s):
+            piece = max(bisect.bisect_right(knots, s) - 1, 0)
+            x = s - knots[piece]
+            out = []
+            for row in rows[piece]:
+                acc = 0.0
+                for c in row:
+                    acc = acc * x + c
+                out.append(acc)
+            return out
+
+        return at
 
     def knot_limits(self, order):
         """Left and right limits of the order-th derivative at the interior
@@ -462,40 +478,95 @@ def eval_f(p: ModelParams, prof: ShapingProfiles, u, with_hessian=True):
     return (val[0], grad[0], hess[0]) if with_hessian else (val[0], grad[0])
 
 
-def _value_grad_scalar(p: ModelParams, prof: ShapingProfiles, u):
-    """(value, gradient) at one point in plain floats, for ODE right-hand sides.
+def _point_kernel(p: ModelParams, prof: ShapingProfiles):
+    """Plain-float (value, gradient) and Hessian closures at one point, for
+    the right-hand sides and Jacobians of the gradient flows.
 
-    The same formula as `_model` without the Hessian, kept apart for speed:
-    one call costs about 20 us here against about 115 us for a batch of one
-    through `_model` (2-core x86 VM, numpy 2.4), and a `forward_trap_check`
-    of two trajectories to t = 5 makes 3.1k-6.1k such calls (A from 1000 to
-    2000), so the batched kernel would add about 0.3-0.6 s to a check that
-    takes 0.1-0.2 s.
+    The formula is `_model`'s, written with Python floats: a call does no
+    numpy work, which costs more than the arithmetic on one point of
+    dimension n + 1 (5-8 us for value_grad and 16-26 us for hessian, against
+    180-300 us for a batch of one through `_model`, n = 6, 2-core x86 VM,
+    numpy 2.4). Each call bisects once per profile and reads every order it
+    needs from that piece. Squares are summed in index order, which is
+    numpy's order for vectors of up to seven entries (n <= 6).
+
+    Both closures take a float64 array u of length n + 1.
+    value_grad(u) -> (value, gradient as a list). It groups the radial
+    chain-rule terms as the flows always have, which differs from `_model`
+    in the last bits. hessian(u) -> (n+1, n+1) array repeats `_model`'s
+    operations element by element, so it equals `_model`'s Hessian bit for
+    bit where the sums agree. As in `_model`, the divisions use 1 in place
+    of |u| at the origin, where every radial term vanishes.
     """
-    n, i, y, A = p.n, p.i, p.y, p.A
-    u = np.asarray(u, dtype=float)
-    sgn = np.ones(n + 1)
-    sgn[1 : i + 1] = -1.0
-    sgn[0] = 0.0
-    val = u[0] ** 3 - y * u[0] + float(np.sum(sgn * u * u))
-    grad = 2.0 * sgn * u
-    grad[0] = 3.0 * u[0] ** 2 - y
-    rho = float(np.sqrt(np.sum(u * u)))
-    if rho > 0.0:
-        uhat = u / rho
-        eta_v = prof.eta.eval_scalar(rho, 0)
-        eta_d = prof.eta.eval_scalar(rho, 1)
-        et_v = prof.eta_tilde.eval_scalar(rho, 0)
-        et_d = prof.eta_tilde.eval_scalar(rho, 1)
-        q_v = A * prof.q_shape.eval_scalar(rho, 0)
-        q_d = A * prof.q_shape.eval_scalar(rho, 1)
-        val += -eta_v * u[1] + y * et_v * u[0] + q_v
-        grad += (-eta_d * u[1] + y * et_d * u[0] + q_d) * uhat
-        grad[1] -= eta_v
-        grad[0] += y * et_v
-    else:
-        val += A * prof.q_shape.eval_scalar(0.0, 0)
-    return val, grad
+    n, i, y, A = p.n, p.i, float(p.y), float(p.A)
+    dim = n + 1
+    profiles = (prof.eta, prof.eta_tilde, prof.q_shape)
+    eta_vg, et_vg, q_vg = (pp.point_evaluator((0, 1)) for pp in profiles)
+    eta_h, et_h, q_h = (pp.point_evaluator((1, 2)) for pp in profiles)
+    twice_sgn = [0.0] + [-2.0] * i + [2.0] * (n - i)
+
+    def value_grad(u):
+        u = u.tolist()
+        u0, u1 = u[0], u[1]
+        sq = u0 * u0
+        s = 0.0  # sum of sgn_k u_k^2
+        for x in u[1 : i + 1]:
+            sq += x * x
+            s -= x * x
+        for x in u[i + 1 :]:
+            sq += x * x
+            s += x * x
+        val = u0**3 - y * u0 + s
+        grad = [ts * x for ts, x in zip(twice_sgn, u)]
+        grad[0] = 3.0 * u0**2 - y
+        rho = math.sqrt(sq)
+        r = rho if rho > 0.0 else 1.0
+        e0, e1 = eta_vg(rho)
+        t0, t1 = et_vg(rho)
+        q0, q1 = q_vg(rho)
+        val += -e0 * u1 + y * t0 * u0 + A * q0
+        coef = -e1 * u1 + y * t1 * u0 + A * q1
+        grad = [g + coef * (x / r) for g, x in zip(grad, u)]
+        grad[1] -= e0
+        grad[0] += y * t0
+        return val, grad
+
+    def hessian(u):
+        u = u.tolist()
+        sq = 0.0
+        for x in u:
+            sq += x * x
+        rho = math.sqrt(sq)
+        r = rho if rho > 0.0 else 1.0
+        uh = [x / r for x in u]
+        e1, e2 = eta_h(rho)
+        t1, t2 = et_h(rho)
+        q1, q2 = q_h(rho)
+        q1, q2 = A * q1, A * q2
+        c_eta, c_et = -u[1], y * u[0]
+        h = [[0.0] * dim for _ in range(dim)]
+        for a in range(dim):
+            ua = uh[a]
+            for b in range(a, dim):
+                ub = uh[b]
+                rad = ua * ub
+                if a == b:
+                    proj = (1.0 - rad) / r
+                    acc = 6.0 * u[0] if a == 0 else twice_sgn[a]
+                else:
+                    proj = (0.0 - rad) / r
+                    acc = 0.0
+                acc += c_eta * (e2 * rad + e1 * proj)
+                if a == 1 or b == 1:  # uh (x) e_1 + e_1 (x) uh, from the u1 factor
+                    acc += -e1 * ((ua if b == 1 else 0.0) + (ub if a == 1 else 0.0))
+                acc += c_et * (t2 * rad + t1 * proj)
+                if a == 0:  # uh (x) e_0 + e_0 (x) uh, from the u0 factor
+                    acc += y * t1 * ((ua if b == 0 else 0.0) + ub)
+                acc += q2 * rad + q1 * proj
+                h[a][b] = h[b][a] = acc
+        return np.array(h)
+
+    return value_grad, hessian
 
 
 @dataclass
@@ -725,25 +796,24 @@ def flow_containment_probe(p, prof, point: CriticalPoint, c, direction="unstable
         sgn_flow = -1.0  # follow +grad f uphill
         target = val0 + c
     if cols.shape[1] == 0:
-        return {"crossings": [], "divergent": 0, "u0_ok": True, "uplus_ok": True,
-                "box": None}
+        return {"crossings": [], "divergent": 0, "stalled": 0, "u0_ok": True,
+                "uplus_ok": True, "box": None}
     rng = np.random.default_rng(99)
     k = cols.shape[1]
     dirs = rng.normal(size=(n_dirs, k))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     eps = 2e-3 * p.r2
+    value_grad, _ = _point_kernel(p, prof)
 
     # arc-length parametrization: unit-speed gradient flow keeps the solver
     # step scale geometric, and f is strictly monotone along it so the level
     # event fires exactly once
     def rhs(t, u):
-        _, g = _value_grad_scalar(p, prof, u)
-        gn = np.linalg.norm(g)
-        return sgn_flow * (-g) / max(gn, 1e-30)
+        g = np.array(value_grad(u)[1])
+        return -sgn_flow * g / max(np.linalg.norm(g), 1e-30)
 
     def level(t, u):
-        v, _ = _value_grad_scalar(p, prof, u)
-        return v - target
+        return value_grad(u)[0] - target
 
     level.terminal = True
     level.direction = -sgn_flow
@@ -758,8 +828,7 @@ def flow_containment_probe(p, prof, point: CriticalPoint, c, direction="unstable
     captol = 1e-12 * (1.0 + p.A)
 
     def captured(t, u):
-        _, g = _value_grad_scalar(p, prof, u)
-        return float(np.linalg.norm(g)) - captol
+        return float(np.linalg.norm(value_grad(u)[1])) - captol
 
     captured.terminal = True
     captured.direction = -1.0
@@ -816,15 +885,17 @@ def _trap_flow(p, prof, u0, t_end):
 
     The radial Hessian eigenvalue is of order A, so the flow is stiff: LSODA
     with the analytic Jacobian -hess f takes steps of the trajectory's own
-    scale where an explicit method is held to steps of about 1/A.
+    scale where an explicit method is held to steps of about 1/A. Both the
+    right-hand side and the Jacobian come from the plain-float point kernel
+    (`_point_kernel`), built once per call: the flow makes no `_model` call.
     """
+    value_grad, hessian = _point_kernel(p, prof)
 
     def rhs(t, u):
-        _, g = _value_grad_scalar(p, prof, u)
-        return -g
+        return [-g for g in value_grad(u)[1]]
 
     def jac(t, u):
-        return -eval_f(p, prof, u)[2]
+        return -hessian(u)
 
     return scipy.integrate.solve_ivp(rhs, (0.0, t_end), u0, method="LSODA", jac=jac,
                                      rtol=1e-8, atol=1e-12, max_step=1.0)
@@ -834,18 +905,23 @@ def forward_trap_check(p, prof, n_traj=16, t_end=50.0):
     """Forward -grad flow started inside the inner separating ball stays in.
 
     Consequence of the positive radial derivative on the annulus; verified
-    by direct integration from random interior points.
+    by direct integration from random interior points. A trajectory whose
+    integration fails raises RuntimeError (a truncated trajectory proves
+    nothing about containment).
     """
     if p.A <= C0_ANNULUS:
         raise ValueError("check needs A > C0")
     r_in = p.A * p.r2 / (p.A + C0_ANNULUS)
     rng = np.random.default_rng(7)
     worst = 0.0
-    for _ in range(n_traj):
+    for traj in range(n_traj):
         d = rng.normal(size=p.n + 1)
         d /= np.linalg.norm(d)
         u0 = 0.97 * r_in * d * rng.random() ** (1.0 / (p.n + 1))
         sol = _trap_flow(p, prof, u0, t_end)
+        if not sol.success:
+            raise RuntimeError(f"trap flow failed at A={p.A}, trajectory {traj} of {n_traj} "
+                               f"(t={sol.t[-1]:.6g} of {t_end}): {sol.message}")
         worst = max(worst, float(np.linalg.norm(sol.y, axis=0).max()))
     return {"max_radius": worst, "bound": r_in, "contained": worst <= r_in + 1e-9}
 

@@ -2,6 +2,7 @@ import dataclasses
 import warnings
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,6 +102,7 @@ def test_evaluator_matches_exact_oracle(setup):
     shapes = [prof.eta, prof.eta_tilde, prof.q_shape, W.build_p_profile(64.0, 0.12).shape]
     u64 = np.finfo(float).eps / 2
     for pp in shapes:
+        at = pp.point_evaluator((0, 1, 2))
         s64 = _oracle_samples(pp)
         extra = np.where(np.isin(s64, pp.knots), 0.0, s64 * 2.0**-58)
         sld = s64.astype(np.longdouble) + extra.astype(np.longdouble)
@@ -117,7 +119,7 @@ def test_evaluator_matches_exact_oracle(setup):
                     assert abs(Fraction(*g.as_integer_ratio()) - exact) <= tol, (order, s)
                     assert fn(s) == g == _loop_horner(pp, s, order)
             for s in s64:
-                assert pp.eval_scalar(s, order) == fn(s)
+                assert at(float(s))[order] == fn(s)
 
 
 def test_profiles_are_immutable(setup):
@@ -302,6 +304,160 @@ def test_trap_flow_matches_explicit_reference(setup):
         assert stiff.success and ref.success
         assert np.linalg.norm(stiff.y[:, -1] - ref.y[:, -1]) <= 1e-6 * r_in
         assert stiff.nfev < ref.nfev
+
+
+def _parent_point_kernel(p, prof):
+    """The flows' kernel before the plain-float one, kept as the oracle:
+    (value, gradient) by numpy arithmetic on one point with per-point Horner
+    profile values, and the Hessian of `eval_f`, a batch of one through
+    `_model`."""
+    n, i, y, A = p.n, p.i, p.y, p.A
+    sgn = np.ones(n + 1)
+    sgn[1 : i + 1] = -1.0
+    sgn[0] = 0.0
+
+    def value_grad(u):
+        u = np.asarray(u, dtype=float)
+        val = u[0] ** 3 - y * u[0] + float(np.sum(sgn * u * u))
+        grad = 2.0 * sgn * u
+        grad[0] = 3.0 * u[0] ** 2 - y
+        rho = np.sqrt(np.sum(u * u))
+        if rho > 0.0:
+            uhat = u / rho
+            eta_v, eta_d = (_loop_horner(prof.eta, rho, k) for k in (0, 1))
+            et_v, et_d = (_loop_horner(prof.eta_tilde, rho, k) for k in (0, 1))
+            q_v, q_d = (A * _loop_horner(prof.q_shape, rho, k) for k in (0, 1))
+            val += -eta_v * u[1] + y * et_v * u[0] + q_v
+            grad += (-eta_d * u[1] + y * et_d * u[0] + q_d) * uhat
+            grad[1] -= eta_v
+            grad[0] += y * et_v
+        else:
+            val += A * _loop_horner(prof.q_shape, rho, 0)
+        return val, grad
+
+    return value_grad, lambda u: B.eval_f(p, prof, u)[2]
+
+
+def _kernel_points(p, prof, rng):
+    # random points across the band and beyond, the origin, and points at
+    # every knot radius: on three axes (|u| is then the knot exactly) and in
+    # random directions
+    dim = p.n + 1
+    dirs = rng.normal(size=(200, dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    pts = [dirs * rng.uniform(0.0, 3.0 * p.r2, size=(200, 1)), np.zeros((1, dim))]
+    for knot in sorted(set(prof.eta.knots + prof.eta_tilde.knots + prof.q_shape.knots)):
+        pts.append(knot * np.eye(dim)[[0, 1, dim - 1]])
+        pts.append(knot * dirs[:3])
+    return np.vstack(pts)
+
+
+@pytest.mark.parametrize("y", [0.0, 0.5 * DELTA**2, -0.5 * DELTA**2])
+def test_point_kernel_matches_batched_kernel(y):
+    # value and gradient: bit for bit the parent's flow kernel, and within
+    # rounding of the _model rows, whose radial terms are grouped otherwise
+    # and whose u0**3 is numpy's array power; Hessian: the _model rows bit
+    # for bit (n = 6, where numpy sums in index order too)
+    p = B.ModelParams(y=y, A=1000.0, **PARAMS)
+    prof = B.build_profiles(p, verify=False)
+    value_grad, hessian = B._point_kernel(p, prof)
+    oracle_vg, _ = _parent_point_kernel(p, prof)
+    us = _kernel_points(p, prof, np.random.default_rng(17))
+    vals, grads, hesss = B._model(p, prof, us)
+    eps = np.finfo(float).eps
+    for u, val, grad, hess in zip(us, vals, grads, hesss):
+        v, g = value_grad(u)
+        ov, og = oracle_vg(u)
+        assert v == ov and np.array_equal(g, og)
+        assert abs(v - val) <= 2 * eps * max(1.0, abs(val))
+        assert np.abs(np.array(g) - grad).max() <= 2 * eps * max(1.0, np.abs(grad).max())
+        h = hessian(u)
+        assert h.shape == hess.shape and np.array_equal(h, hess)
+
+
+def _flow_runs(monkeypatch, kernel, run):
+    """run() under the given point kernel, with every trap-flow solution."""
+    sols = []
+    trap_flow = B._trap_flow
+
+    def recording(*args):
+        sols.append(trap_flow(*args))
+        return sols[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(B, "_point_kernel", kernel)
+        m.setattr(B, "_trap_flow", recording)
+        return run(), sols
+
+
+@pytest.mark.parametrize("A", [400.0, 1000.0, 1400.0, 1500.0, 2000.0])
+def test_trap_check_matches_parent_route(monkeypatch, A):
+    # the trap flows of the plain-float kernel retrace the parent's
+    # (value, gradient) right-hand side and eval_f Jacobian bit for bit;
+    # trajectory 2 of the seeded starts grows away from its start point
+    p = B.ModelParams(y=0.0, A=A, **PARAMS)
+    prof = B.build_profiles(p, verify=False)
+
+    def run():
+        return B.forward_trap_check(p, prof, n_traj=3, t_end=5.0)
+
+    new, new_sols = _flow_runs(monkeypatch, B._point_kernel, run)
+    old, old_sols = _flow_runs(monkeypatch, _parent_point_kernel, run)
+    assert new["max_radius"] == old["max_radius"]
+    for a, b in zip(new_sols, old_sols, strict=True):
+        assert np.array_equal(a.t, b.t) and np.array_equal(a.y, b.y)
+    radii = np.linalg.norm(new_sols[2].y, axis=0)
+    assert radii.argmax() > 0
+
+
+@pytest.mark.parametrize("A", [1000.0, 1400.0, 2000.0])
+def test_flow_probe_matches_parent_route(monkeypatch, A):
+    p = B.ModelParams(y=0.0, A=A, **PARAMS)
+    prof = B.build_profiles(p, verify=False)
+    start = [c for c in B.closed_form_candidates(p) if c.morse_index == p.i][0]
+
+    def run():
+        return B.flow_containment_probe(p, prof, start, c=10 * p.r2**2, n_dirs=8)
+
+    new, _ = _flow_runs(monkeypatch, B._point_kernel, run)
+    old, _ = _flow_runs(monkeypatch, _parent_point_kernel, run)
+    assert len(new["crossings"]) == len(old["crossings"]) >= 1
+    for a, b in zip(new["crossings"], old["crossings"]):
+        assert np.array_equal(a, b)
+    assert (new["stalled"], new["divergent"]) == (old["stalled"], old["divergent"])
+
+
+def test_trap_check_makes_no_batched_kernel_calls(setup, monkeypatch):
+    p, prof, _ = setup
+    calls = []
+    model = B._model
+    monkeypatch.setattr(B, "_model", lambda *a, **k: calls.append(1) or model(*a, **k))
+    rep = B.forward_trap_check(p, prof, n_traj=2, t_end=1.0)
+    assert rep["contained"] and not calls
+
+
+def test_trap_check_raises_on_failed_flow(setup, monkeypatch):
+    # a failed solve returns a truncated trajectory, which must not be
+    # judged contained
+    p, prof, _ = setup
+
+    def failing(p_, prof_, u0, t_end):
+        return SimpleNamespace(success=False, t=np.array([0.0, 0.5]), y=np.stack([u0, u0], 1),
+                               message="excess work done on this call")
+
+    monkeypatch.setattr(B, "_trap_flow", failing)
+    with pytest.raises(RuntimeError, match=r"A=1000\.0, trajectory 0 of 4"):
+        B.forward_trap_check(p, prof, n_traj=4, t_end=5.0)
+
+
+def test_flow_probe_without_directions_has_every_key(setup):
+    # the index-0 point has no unstable directions: the early return
+    # carries the same keys as a full probe
+    p, prof, census = setup
+    minimum = [c for c in census if c.morse_index == 0][0]
+    out = B.flow_containment_probe(p, prof, minimum, c=10 * p.r2**2, n_dirs=4)
+    assert set(out) == {"crossings", "divergent", "stalled", "u0_ok", "uplus_ok", "box"}
+    assert out["stalled"] == 0 and out["crossings"] == [] and out["box"] is None
 
 
 def test_census_grid():
