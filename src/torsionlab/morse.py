@@ -1,11 +1,11 @@
 """Thom-Smale complexes on flat circles and 2-tori with unitary coefficients.
 
 Critical points come from seeded Newton on the periodic chart; flow lines
-between index-adjacent pairs are shot from the index-1 points along their
-one-dimensional unstable (and, on the torus, time-reversed stable)
-eigendirections, with signs fixed by comparing the unstable frames against
-arrival data and the coefficient transport given by the winding of the
-connecting trajectory.
+between index-adjacent pairs are shot, all as one system, from the index-1
+points along their one-dimensional unstable (and, on the torus,
+time-reversed stable) eigendirections, with signs fixed by comparing the
+unstable frames against arrival data and the coefficient transport given
+by the winding of the connecting trajectory.
 The resulting complex feeds the scalar-torsion machinery; suspension and
 ball-removal bookkeeping live here too, as does the twisted-circle
 comparison of combinatorial against zeta-regularized analytic torsion.
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
+import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -225,40 +226,79 @@ def _solve_each(hess, grad):
     return step, solved
 
 
-def _shoot(model, c, direction, criticals, sign_time):
-    """Integrate sign_time * (-grad f) from c + 1e-6 * direction until the
-    flow comes within 1e-4 (periodic distance) of a critical point other
-    than c. Returns (that critical point, arrival velocity direction,
-    unwrapped displacement); raises RuntimeError when the flow reaches none.
+# time bound of every flow-line shot; a trajectory that has reached no other
+# critical point by then has escaped
+_T_BOUND = 1e4
+_EPS4 = 4 * np.finfo(float).eps  # brentq tolerances of a solve_ivp event
 
-    The integrator is the 8th-order Dormand-Prince pair (DOP853): at this
-    tolerance it takes far fewer steps than a 5th-order one. Only the
+
+def _shoot_all(model, shots, criticals):
+    """Integrate every shot (c, direction, sign_time) of `shots` as one
+    system: shot j follows sign_time * (-grad f) from c + 1e-6 * direction
+    until it comes within 1e-4 (periodic distance) of a critical point
+    other than c. Returns, in shot order, (that critical point, arrival
+    velocity direction, unwrapped displacement) per shot, or None for a
+    shot that reaches none before `_T_BOUND`.
+
+    The state is the (dim, k) array of all k trajectories, its right-hand
+    side one batched `model.grad` call, stepped by the 8th-order
+    Dormand-Prince pair (DOP853; at this tolerance it takes far fewer steps
+    than a 5th-order one) with rtol 1e-10 and atol 1e-12 divided by sqrt(k):
+    the stacked error norm averages over all k * dim components, so no one
+    trajectory is held looser than a system of its own would hold it.
+    After each step every trajectory that has not arrived is tested at
+    once; one that has crossed its 1e-4 ball gets its arrival time from
+    brentq on the step's dense output, as a terminal `solve_ivp` event
+    would. Stepping stops once every trajectory has arrived. Only the
     target, the arrival direction's sign against the frames and the
     integer winding of the displacement reach the complex."""
-    others = [x for x in criticals if x is not c]
-    locs = np.array([x.location for x in others])
+    d, k = model.dim, len(shots)
+    locs = np.array([c.location for c in criticals])
+    pos = {id(c): i for i, c in enumerate(criticals)}
+    own = np.array([pos[id(c)] for c, _, _ in shots])
+    signs = np.array([sign_time for _, _, sign_time in shots])
+    u0 = np.stack([c.location + 1e-6 * direction for c, direction, _ in shots], axis=1)
 
-    def rhs(t, u):
-        return sign_time * (-model.grad(u))
+    def rhs(t, y):
+        return (signs * (-model.grad(y.reshape(d, k)))).ravel()
 
-    def dists(u):
-        return _row_norms(np.mod(u - locs + np.pi, 2 * np.pi) - np.pi)
+    def dists(u, cols):
+        # periodic distance of columns `cols` of u to every critical point,
+        # inf to each trajectory's own
+        diff = np.mod(u[:, cols].T[:, None, :] - locs + np.pi, 2 * np.pi) - np.pi
+        out = np.sqrt(np.einsum("ncd,ncd->nc", diff, diff))
+        out[np.arange(len(cols)), own[cols]] = np.inf
+        return out
 
-    def arrived(t, u):
-        return dists(u).min() - 1e-4
+    shrink = np.sqrt(k)
+    solver = scipy.integrate.DOP853(rhs, 0.0, u0.ravel(), _T_BOUND, rtol=1e-10 / shrink,
+                                    atol=1e-12 / shrink, max_step=1.0)
+    ends = np.zeros((d, k))
+    pending = np.arange(k)
+    while pending.size and solver.status == "running":
+        solver.step()  # a failed step keeps y: nothing arrives and the loop ends
+        hit = dists(solver.y.reshape(d, k), pending).min(axis=1) <= 1e-4
+        if not hit.any():
+            continue
+        sol = solver.dense_output()
+        for j in pending[hit]:
+            def gap(t, j=j):
+                return dists(sol(t).reshape(d, k), [j]).min() - 1e-4
 
-    arrived.terminal = True
-    sol = scipy.integrate.solve_ivp(
-        rhs, (0.0, 1e4), c.location + 1e-6 * direction, method="DOP853", events=arrived,
-        rtol=1e-10, atol=1e-12, max_step=1.0,
-    )
-    if not sol.t_events[0].size:
-        raise RuntimeError("flow line escaped; model not Thom-Smale")
-    u_end = sol.y_events[0][0]
-    vel = rhs(0.0, u_end)
-    nv = np.linalg.norm(vel)
-    vel = vel / nv if nv > 0 else vel
-    return others[int(np.argmin(dists(u_end)))], vel, u_end - c.location
+            t_hit = scipy.optimize.brentq(gap, solver.t_old, solver.t, xtol=_EPS4, rtol=_EPS4)
+            ends[:, j] = sol(t_hit).reshape(d, k)[:, j]
+        pending = pending[~hit]
+    vels = signs * (-model.grad(ends))
+    targets = np.argmin(dists(ends, np.arange(k)), axis=1)
+    out = []
+    for j, (c, _, _) in enumerate(shots):
+        if j in pending:
+            out.append(None)
+            continue
+        nv = np.linalg.norm(vels[:, j])
+        vel = vels[:, j] / nv if nv > 0 else vels[:, j]
+        out.append((criticals[targets[j]], vel, ends[:, j] - c.location))
+    return out
 
 
 def _orientation_sign(p: Critical, q: Critical, minus_vel):
@@ -301,9 +341,13 @@ def build_complex(model: ManifoldModel):
     along its stable line (up from index 2). So each index-1 point shoots
     both unstable directions forward and, on the torus, both stable
     directions backward: 2 shots per index-1 point on a circle, 4 on a
-    torus, every trajectory once. A shot that reaches a point of any other
-    index (another index-1 point) raises RuntimeError: the model is not
-    Thom-Smale. A line from p down to q is signed by comparing the unstable
+    torus, every trajectory once. All k shots are integrated as one DOP853
+    system of shape (dim, k) by `_shoot_all`, at the per-shot tolerances
+    divided by sqrt(k), each stopping at its own arrival event. The results
+    are read in shot order, and the first shot that escapes, that reaches a
+    point of any other index (another index-1 point: the model is not
+    Thom-Smale) or whose orientation comparison is degenerate raises
+    RuntimeError. A line from p down to q is signed by comparing the unstable
     frame of p against (-velocity, unstable frame of q) at arrival, and
     transported by the holonomy of its winding. `flows` lists the lines of
     every index-adjacent pair (i_p, i_q), empty ones included, in shot
@@ -316,23 +360,26 @@ def build_complex(model: ManifoldModel):
     by_index = [[i for i, c in enumerate(criticals) if c.index == k] for k in range(d + 1)]
     slot = {i: m * r for ix in by_index for r, i in enumerate(ix)}  # first row of i's block
     flows = {(i, j): [] for k in range(d) for i in by_index[k + 1] for j in by_index[k]}
+    shots = []
     for c in (criticals[i] for i in by_index[1]):
         axes = [(c.frame[:, 0], 1.0)]
         if d == 2:
             spec, vecs = np.linalg.eigh(model.hess(c.location))
             axes.append((vecs[:, spec > 0][:, 0], -1.0))
-        for line, sign_time in axes:
-            for s0 in (+1.0, -1.0):
-                target, vel, disp = _shoot(model, c, s0 * line, criticals, sign_time)
-                if target.index != c.index - sign_time:  # index 0 forward, 2 backward
-                    raise RuntimeError(f"non-transversal flow near {target.location}")
-                if sign_time > 0:
-                    p, q, minus_vel = c, target, -vel
-                else:  # the forward trajectory arrives at c with velocity -s0 * line
-                    p, q, minus_vel, disp = target, c, s0 * line, -disp
-                wind = _winding(p.location, q.location, disp)
-                flows[pos[id(p)], pos[id(q)]].append(
-                    (_orientation_sign(p, q, minus_vel), wind, _transport(model, wind)))
+        shots += [(c, s0 * line, sign_time) for line, sign_time in axes for s0 in (+1.0, -1.0)]
+    for (c, direction, sign_time), hit in zip(shots, _shoot_all(model, shots, criticals)):
+        if hit is None:
+            raise RuntimeError("flow line escaped; model not Thom-Smale")
+        target, vel, disp = hit
+        if target.index != c.index - sign_time:  # index 0 forward, 2 backward
+            raise RuntimeError(f"non-transversal flow near {target.location}")
+        if sign_time > 0:
+            p, q, minus_vel = c, target, -vel
+        else:  # the forward trajectory arrives at c with velocity -direction
+            p, q, minus_vel, disp = target, c, direction, -disp
+        wind = _winding(p.location, q.location, disp)
+        flows[pos[id(p)], pos[id(q)]].append(
+            (_orientation_sign(p, q, minus_vel), wind, _transport(model, wind)))
     ranks = tuple(m * len(ix) for ix in by_index)
     diffs = [np.zeros((ranks[k + 1], ranks[k]), dtype=complex) for k in range(d)]
     for (i, j), lines in flows.items():

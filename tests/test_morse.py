@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+import scipy.integrate
 
 from torsionlab import morse as M
 from torsionlab.graded import GradedComplex, cohomology_dims, euler_chars, finite_torsion
@@ -97,12 +100,46 @@ def _complex_bits(data):
             [_bits(d) for d in cpx.diffs], [_bits(g) for g in cpx.metrics])
 
 
-def _flow_lines(model, criticals, p, q):
+def _shoot_one(model, c, direction, criticals, sign_time, method="DOP853"):
+    """Oracle: one shot integrated alone by solve_ivp, its arrival a
+    terminal event. Integrates sign_time * (-grad f) from c + 1e-6 *
+    direction until the flow comes within 1e-4 (periodic distance) of a
+    critical point other than c, with rtol 1e-10, atol 1e-12, max_step 1.0
+    and time bound 1e4. Returns (that critical point, arrival velocity
+    direction, unwrapped displacement); raises RuntimeError when the flow
+    reaches none."""
+    others = [x for x in criticals if x is not c]
+    locs = np.array([x.location for x in others])
+
+    def rhs(t, u):
+        return sign_time * (-model.grad(u))
+
+    def dists(u):
+        return M._row_norms(np.mod(u - locs + np.pi, 2 * np.pi) - np.pi)
+
+    def arrived(t, u):
+        return dists(u).min() - 1e-4
+
+    arrived.terminal = True
+    sol = scipy.integrate.solve_ivp(
+        rhs, (0.0, 1e4), c.location + 1e-6 * direction, method=method, events=arrived,
+        rtol=1e-10, atol=1e-12, max_step=1.0,
+    )
+    if not sol.t_events[0].size:
+        raise RuntimeError("flow line escaped; model not Thom-Smale")
+    u_end = sol.y_events[0][0]
+    vel = rhs(0.0, u_end)
+    nv = np.linalg.norm(vel)
+    vel = vel / nv if nv > 0 else vel
+    return others[int(np.argmin(dists(u_end)))], vel, u_end - c.location
+
+
+def _flow_lines(model, criticals, p, q, shoot=_shoot_one):
     """Oracle: the signed, transported flow lines from p to q (ind p =
-    ind q + 1) of the pair alone, shot afresh: forward from p along its
-    unstable line when ind p = 1, else backward from q along its stable
-    line (the top-index pair on the torus), keeping the lines that reach
-    the partner."""
+    ind q + 1) of the pair alone, each shot by `shoot`: forward
+    from p along its unstable line when ind p = 1, else backward from q
+    along its stable line (the top-index pair on the torus), keeping the
+    lines that reach the partner."""
     if p.index == 1:
         c, partner, line, sign_time = p, q, p.frame[:, 0], 1.0
     else:
@@ -110,7 +147,7 @@ def _flow_lines(model, criticals, p, q):
         c, partner, line, sign_time = q, p, vecs[:, spec > 0][:, 0], -1.0
     out = []
     for s0 in (+1.0, -1.0):
-        target, vel, disp = M._shoot(model, c, s0 * line, criticals, sign_time)
+        target, vel, disp = shoot(model, c, s0 * line, criticals, sign_time)
         if target is not partner:
             continue
         if sign_time > 0:
@@ -122,10 +159,12 @@ def _flow_lines(model, criticals, p, q):
     return out
 
 
-def _per_pair_complex(model):
+def _per_pair_complex(model, criticals=None, shoot=_shoot_one):
     """Oracle: the complex assembled pair by pair, each (p, q) block the
-    sum of _flow_lines(p, q), rows and columns in critical-point order."""
-    crit = M.fiber_criticals(model)
+    sum of _flow_lines(p, q), rows and columns in critical-point order.
+    The critical points are `criticals` if given, else fiber_criticals';
+    `shoot` (signature of _shoot_one) shoots every line."""
+    crit = M.fiber_criticals(model) if criticals is None else criticals
     m = model.rep_rank
     pos = {id(c): i for i, c in enumerate(crit)}
     by_index = [[c for c in crit if c.index == k] for k in range(model.dim + 1)]
@@ -134,7 +173,7 @@ def _per_pair_complex(model):
         mat = np.zeros((m * len(by_index[k + 1]), m * len(by_index[k])), dtype=complex)
         for ip, p in enumerate(by_index[k + 1]):
             for iq, q in enumerate(by_index[k]):
-                lines = flows[pos[id(p)], pos[id(q)]] = _flow_lines(model, crit, p, q)
+                lines = flows[pos[id(p)], pos[id(q)]] = _flow_lines(model, crit, p, q, shoot)
                 block = np.zeros((m, m), dtype=complex)
                 for n, _, tau in lines:
                     block += n * tau
@@ -171,35 +210,90 @@ ORACLE_MODELS = {
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
-def test_build_complex_matches_per_seed_oracle(name, monkeypatch):
+def test_build_complex_matches_per_seed_oracle(name):
     model = ORACLE_MODELS[name]()
     data = M.build_complex(model)
     assert _critical_bits(M.fiber_criticals(model)) == _critical_bits(data.criticals)
     # the per-pair assembly: same flows, key order, line order and blocks
     assert _complex_bits(data) == _complex_bits(_per_pair_complex(model))
     # the oracle complex: per-seed Newton and flow lines shot with RK45
-    solve_ivp = M.scipy.integrate.solve_ivp
+    rk45 = functools.partial(_shoot_one, method="RK45")
+    oracle = _per_pair_complex(model, _fiber_criticals_per_seed(model), rk45)
+    assert _complex_bits(data) == _complex_bits(oracle)
 
-    def rk45(*args, method=None, **kwargs):
-        return solve_ivp(*args, **kwargs)
 
-    monkeypatch.setattr(M, "fiber_criticals", _fiber_criticals_per_seed)
-    monkeypatch.setattr(M.scipy.integrate, "solve_ivp", rk45)
-    assert _complex_bits(data) == _complex_bits(M.build_complex(model))
+def _sweep_model(i):
+    """Model i of a seeded sweep: even i a torus with random holonomy and
+    tilts in [-0.05, 0.05], odd i a circle of freq 1-4 with tilt in
+    [-0.3, 0.3] and a random unitary holonomy of rank 1 or 2."""
+    rng = np.random.default_rng([2026, i])
+    if i % 2 == 0:
+        rep = [np.array([[np.exp(1j * a)]]) for a in rng.uniform(0.0, 2 * np.pi, 2)]
+        return M.torus_model(rep=rep, tilt=tuple(rng.uniform(-0.05, 0.05, 2)))
+    rank = 1 + i // 2 % 2
+    q, _ = np.linalg.qr(rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank)))
+    rep = q @ np.diag(np.exp(1j * rng.uniform(0.0, 2 * np.pi, rank))) @ q.conj().T
+    return M.circle_model(freq=1 + i // 4 % 4, rep=rep, tilt=rng.uniform(-0.3, 0.3))
+
+
+def _spy_shots(monkeypatch):
+    """Record the (shots, results) of every _shoot_all call."""
+    batches = []
+    shoot_all = M._shoot_all
+
+    def spy(model, shots, criticals):
+        out = shoot_all(model, shots, criticals)
+        batches.append((shots, out))
+        return out
+
+    monkeypatch.setattr(M, "_shoot_all", spy)
+    return batches
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_stacked_shots_match_per_shot_oracle(block, monkeypatch):
+    # 100 models, 10 per block: every stacked shot reaches the target of
+    # the same shot integrated alone, its arrival point and direction
+    # within 1e-8 of that shot's, and the complex equals the per-pair
+    # oracle's bit for bit (each distinct shot of the oracle made once)
+    batches = _spy_shots(monkeypatch)
+    for i in range(10 * block, 10 * block + 10):
+        model = _sweep_model(i)
+        data = M.build_complex(model)
+        crit = data.criticals
+        oracle = {}
+
+        def shoot(model, c, direction, criticals, sign_time):
+            key = id(c), direction.tobytes(), sign_time
+            if key not in oracle:
+                oracle[key] = _shoot_one(model, c, direction, criticals, sign_time)
+            return oracle[key]
+
+        (shots, hits), = batches  # one _shoot_all call per build_complex
+        batches.clear()
+        assert len(shots) == 2 * model.dim * sum(c.index == 1 for c in crit)
+        for (c, direction, sign_time), (target, vel, disp) in zip(shots, hits):
+            o_target, o_vel, o_disp = shoot(model, c, direction, crit, sign_time)
+            assert target is o_target
+            assert np.abs(disp - o_disp).max() <= 1e-8
+            assert np.abs(vel - o_vel).max() <= 1e-8
+        assert _complex_bits(data) == _complex_bits(_per_pair_complex(model, crit, shoot))
 
 
 def _counting_shots(monkeypatch, wrap=None):
-    """Record (start point, sign_time) of every _shoot call, optionally
-    passing each result through wrap."""
+    """Record (start point, sign_time) of every shot whose result
+    build_complex reads, in the order it reads them, optionally passing
+    each result through wrap. build_complex checks each result as it reads
+    it, so after a raise the last entry names the offending shot."""
     calls = []
-    shoot = M._shoot
+    shoot_all = M._shoot_all
 
-    def counting(model, c, direction, criticals, sign_time):
-        calls.append((c, sign_time))
-        out = shoot(model, c, direction, criticals, sign_time)
-        return out if wrap is None else wrap(*out)
+    def counting(model, shots, criticals):
+        for (c, _, sign_time), out in zip(shots, shoot_all(model, shots, criticals)):
+            calls.append((c, sign_time))
+            yield out if wrap is None or out is None else wrap(*out)
 
-    monkeypatch.setattr(M, "_shoot", counting)
+    monkeypatch.setattr(M, "_shoot_all", counting)
     return calls
 
 
@@ -211,15 +305,51 @@ SHOT_MODELS = {"1": lambda: M.circle_model(freq=1), "2": lambda: M.circle_model(
 @pytest.mark.parametrize("name", list(SHOT_MODELS))
 def test_build_complex_shoots_each_trajectory_once(name, monkeypatch):
     # every flow line passes through an index-1 point, so build_complex
-    # shoots from those alone, each direction once: 2 dim calls per index-1
-    # point (freq 3: 6 calls, where the per-pair oracle makes 18)
+    # shoots from those alone, each direction once, all in one system:
+    # 2 dim shots per index-1 point (freq 3: 6 shots, where the per-pair
+    # oracle makes 18)
     model = SHOT_MODELS[name]()
+    batches = _spy_shots(monkeypatch)
     calls = _counting_shots(monkeypatch)
     data = M.build_complex(model)
     n_saddles = sum(c.index == 1 for c in data.criticals)
+    assert len(batches) == 1 and len(batches[0][0]) == 2 * model.dim * n_saddles
     assert len(calls) == 2 * model.dim * n_saddles
     assert all(c.index == 1 for c, _ in calls)
     assert _complex_bits(data) == _complex_bits(_per_pair_complex(model))
+
+
+def test_build_complex_stacks_every_shot(monkeypatch):
+    # the 8 shots of a tilted torus are one DOP853 system: one solver, held
+    # at the per-shot tolerances divided by sqrt(8), and every gradient call
+    # of the integration evaluates all 8 trajectories at once, far fewer
+    # calls than the 8 x ~650 of one solve per shot
+    model = M.torus_model(tilt=(0.03, -0.02))
+    crit = M.fiber_criticals(model)
+    monkeypatch.setattr(M, "fiber_criticals", lambda model: crit)
+    solvers = []
+    dop853 = M.scipy.integrate.DOP853
+
+    class Counting(dop853):
+        def __init__(self, *args, **kwargs):
+            solvers.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(M.scipy.integrate, "DOP853", Counting)
+    calls = []
+    grad = model.grad
+
+    def counting(u):
+        calls.append(np.shape(u))
+        return grad(u)
+
+    model.grad = counting
+    data = M.build_complex(model)
+    assert data.complex.ranks == (1, 2, 1)
+    assert len(solvers) == 1
+    assert (solvers[0].rtol, solvers[0].atol) == (1e-10 / np.sqrt(8), 1e-12 / np.sqrt(8))
+    assert set(calls) == {(2, 8)}
+    assert len(calls) <= 1300
 
 
 def _upright_torus():
@@ -261,15 +391,13 @@ def test_forward_shot_onto_saddle_is_non_transversal(monkeypatch):
 
 
 def test_escaped_flow_line_raises(monkeypatch):
-    # a flow that reaches no critical point before the end of the time span
-    solve_ivp = M.scipy.integrate.solve_ivp
-
-    def short(rhs, t_span, *args, **kwargs):
-        return solve_ivp(rhs, (0.0, 1.0), *args, **kwargs)
-
-    monkeypatch.setattr(M.scipy.integrate, "solve_ivp", short)
+    # a flow that reaches no critical point before the end of the time span:
+    # from 1e-6 off the maximum of cos s the flow needs t ~ 14 to leave it
+    monkeypatch.setattr(M, "_T_BOUND", 1.0)
+    calls = _counting_shots(monkeypatch)
     with pytest.raises(RuntimeError, match="escaped"):
         M.build_complex(M.circle_model())
+    assert len(calls) == 1
 
 
 def test_degenerate_orientation_raises(monkeypatch):
