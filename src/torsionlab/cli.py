@@ -18,8 +18,9 @@ import os
 import sys
 import time
 
-# honor the thread cap before any numerical module is imported
-_threads = os.environ.get("TORSION_LAB_THREADS")
+# cap the BLAS pools (one thread unless TORSION_LAB_THREADS says otherwise)
+# before any numerical module is imported; a pool variable already set wins
+_threads = os.environ.get("TORSION_LAB_THREADS", "1")
 if _threads:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):

@@ -8,15 +8,17 @@ operator the other checks run on), and a conjugated first-order difference
 factor B whose singular values give the exponentially small spectrum. An
 eigensolve of the assembled operator K has absolute error of order
 eps * ||K||, a relative error of eps * sigma_max^2 / lambda for a small
-eigenvalue lambda = sigma^2. The singular values of B come from bisection
-on its Golub-Kahan matrix [[0, B], [B^H, 0]] in band storage (Demmel and
+eigenvalue lambda = sigma^2. The singular values of B come from bisection on
+its Golub-Kahan matrix GK = [[0, B], [B^H, 0]] in band storage (Demmel and
 Kahan, Accurate singular values of bidiagonal matrices, 1990). On an
 interval piece that matrix is tridiagonal with zero diagonal, and bisection
 gives every singular value to a few eps relative, however small it is. On
 the circle B is cyclic and its band is reduced to tridiagonal form by
 rotations first, so a singular value there has an absolute error of about
 eps * sigma_max, and values below that are noise. Both claims are checked
-against 50-digit mpmath oracles in the tests. A factor whose rank exceeds
+against 50-digit mpmath oracles in the tests. Values at or below the floor
+64 eps * max(||GK||_inf, 1) count as zero, with ||GK||_inf = max(||B||_1,
+||B||_inf) in [sigma_max, sqrt(2) sigma_max]. A factor whose rank exceeds
 the band limit is solved instead by shift-invert Lanczos on its rank-sized
 Gram operator, to eps * ||op|| absolute. Either way B is solved once, and
 both form degrees read that one solve.
@@ -346,17 +348,18 @@ def assemble_factor(problem: WittenProblem1D):
 def factor_spectrum(problem: WittenProblem1D, k=None, dense_limit=1800):
     """Low spectrum of the factorized Witten Laplacian.
 
-    For form_degree 0 the operator is B^H B, for 1 it is B B^H; both
-    degrees read one solve of B (see _factor_spectra), so they share every
-    nonzero value bit for bit, and exact kernel dimensions follow from the
-    factor shape and rank. Factors of rank up to dense_limit take their
-    lowest singular values by banded Golub-Kahan bisection, to a few eps
-    relative on an interval piece and to about eps * sigma_max absolute on
-    the circle (see the module docstring); larger factors take sparse
-    shift-invert Lanczos on the rank-sized Gram operator, to eps * ||op||
-    absolute, and clamp its values below the roundoff floor
-    30 eps * ||op|| to zero. The k lowest eigenvalues are returned with
-    the kernel dimension; with k=None at most 10. k < 1 is refused.
+    For form_degree 0 the operator is B^H B, for 1 it is B B^H; both degrees
+    read one solve of B (see _factor_spectra), so they share every nonzero
+    value bit for bit, and exact kernel dimensions follow from the factor
+    shape and rank. Factors of rank up to dense_limit take their lowest
+    singular values by banded Golub-Kahan bisection, to a few eps relative
+    on an interval piece and to about eps * sigma_max absolute on the
+    circle, zero at or below 64 eps * max(||GK||_inf, 1), within sqrt(2) of
+    64 eps * max(sigma_max, 1); larger factors take sparse shift-invert
+    Lanczos on the rank-sized Gram operator, to eps * ||op|| absolute, and
+    clamp its values below the roundoff floor 30 eps * ||op|| to zero. The k
+    lowest eigenvalues are returned with the kernel dimension; with k=None
+    at most 10. k < 1 is refused.
     """
     return _factor_spectra(problem, k, dense_limit)[problem.form_degree]
 
@@ -404,24 +407,18 @@ def _golub_kahan_band(b):
 
 def _factor_svals(b, want):
     """Lowest singular values of the factor (ascending) and the kernel
-    floor 64 eps * max(sigma_max, 1), at or below which they count as zero.
-
-    Index-selected bisection (LAPACK sbevx) on the banded Golub-Kahan
-    matrix, whose eigenvalues are +-sigma and |rows - cols| zeros. The
-    window of `want` values widens until it reaches a value above the
-    floor, so no kernel value is left outside it.
+    floor 64 eps * max(||GK||_inf, 1), at or below which they count as zero:
+    ||GK||_inf = max(||B||_1, ||B||_inf) is in [sigma_max, sqrt(2) sigma_max],
+    B having at most two entries per row and column. Index-selected
+    bisection (LAPACK sbevx) on the banded GK, whose eigenvalues are +-sigma
+    and |rows - cols| zeros, reduces the band once per window of `want`
+    values, widened until it passes the floor: no kernel value is left out.
     """
-    band = _golub_kahan_band(b)
-    n = band.shape[1]
-    rank = min(b.shape)
-
-    def eigs(lo, hi):
-        return scipy.linalg.eig_banded(band, lower=True, eigvals_only=True,
-                                       select="i", select_range=(lo, hi))
-
-    floor = 64 * np.finfo(float).eps * max(eigs(n - 1, n - 1)[0], 1.0)
+    band, lo, rank = _golub_kahan_band(b), max(b.shape), min(b.shape)
+    floor = 64 * np.finfo(float).eps * max(spla.norm(b, 1), spla.norm(b, np.inf), 1.0)
     while True:
-        svals = np.sort(np.abs(eigs(n - rank, n - rank + want - 1)))
+        svals = np.sort(np.abs(scipy.linalg.eig_banded(
+            band, lower=True, eigvals_only=True, select="i", select_range=(lo, lo + want - 1))))
         if want == rank or svals[-1] > floor:
             return svals, floor
         want = min(rank, 2 * want)
@@ -540,13 +537,14 @@ def gluing_scan(f_triple, T, A_ladder, interface_r, cuts=(np.pi / 4, 7 * np.pi /
     deformation at both cuts; the piece between the cuts (minus plateau)
     carries absolute conditions, the complement relative ones. Eigenvalues
     come from the factorized operators (factor_spectrum: band bisection up
-    to rank 1800, shift-invert Lanczos to eps * ||op|| absolute beyond),
-    the k lowest of the circle paired in sorted order with the k lowest of
-    the two pieces together. Each factor is solved once per rung, and both
-    form degrees read that solve, so their nonzero values agree bit for
-    bit. Returns a table per form degree (0 and 1) with per-k gaps, plus
-    the small-cluster count of the glued operator against the summed exact
-    kernel dimensions of the pieces.
+    to rank 1800, zero at or below 64 eps * max(||GK||_inf, 1), within
+    sqrt(2) of 64 eps * max(sigma_max, 1); shift-invert Lanczos to
+    eps * ||op|| absolute beyond), the k lowest of the circle paired in
+    sorted order with the k lowest of the two pieces together. Each factor is
+    solved once per rung, and both form degrees read that solve, so their
+    nonzero values agree bit for bit. Returns a table per form degree (0 and
+    1) with per-k gaps, plus the small-cluster count of the glued operator
+    against the summed exact kernel dimensions of the pieces.
     """
     if not all(a2 > a1 for a1, a2 in zip(A_ladder, A_ladder[1:])):
         raise ValueError("A_ladder must be increasing")
@@ -716,7 +714,8 @@ def agmon_decay_check(f_triple, T_ladder, b=0.5, well_width=0.3, n_nodes=None,
 
     u_T is the eig_index-th 0-form eigenvector (sup-normalized); the
     precondition lambda <= (b - b^2) c_f^2 T^2 / 4 with c_f = min |f'| off
-    the critical neighborhoods is enforced per T.
+    the critical neighborhoods is enforced per T, and refused before any
+    eigensolve where no node lies off them.
     """
     if not (0.0 < b < 1.0):
         raise ValueError("need 0 < b < 1")
@@ -725,9 +724,10 @@ def agmon_decay_check(f_triple, T_ladder, b=0.5, well_width=0.3, n_nodes=None,
     for T in T_ladder:
         prob = circle_problem(f_triple, T, n_nodes=n_nodes, form_degree=0)
         s = prob.nodes
-        mask = critical_neighborhood_mask(f_triple, s, width=well_width)
-        off = ~mask
-        cf = np.abs(fp(s[off])).min() if off.any() else 0.0
+        off = ~critical_neighborhood_mask(f_triple, s, width=well_width)
+        if not off.any():
+            raise ValueError(f"decay precondition undefined at T={T}: no node off the wells")
+        cf = np.abs(fp(s[off])).min()
         bound = (b - b * b) * cf * cf * T * T / 4.0
         res = spectrum(prob, k=eig_index + 2)
         lam = res.eigenvalues[eig_index]
@@ -738,7 +738,7 @@ def agmon_decay_check(f_triple, T_ladder, b=0.5, well_width=0.3, n_nodes=None,
         u = res.eigenvectors[:, eig_index]
         u = u / np.abs(u).max()
         # Agmon distance from the critical neighborhoods on the problem grid
-        wells = np.where(mask)[0]
+        wells = np.where(~off)[0]
         sgrid, rho = agmon_distance(f_triple, T, _nearest_nodes(s[wells], 2048), n_nodes=2048)
         rho_at = np.interp(s, sgrid, rho, period=2 * np.pi)
         vals = np.log(np.abs(u[off]) + 1e-300) + b * rho_at[off]

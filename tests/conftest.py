@@ -2,8 +2,8 @@
 
 Small dense eigensolves run many times slower on OpenBLAS's default thread
 pool than on one thread, so the pools are capped at one thread, as
-`torsion-lab` caps them under TORSION_LAB_THREADS=1. A value already set in
-the environment wins.
+`torsion-lab` caps them by default (TORSION_LAB_THREADS, default 1). A value
+already set in the environment wins.
 """
 
 import os

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,34 @@ from torsionlab.graded import IndeterminateKernelError
 
 def run_cli(args):
     return cli.main(args)
+
+
+POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS")
+
+
+def _pools_after_cli_import(**set_vars):
+    """The BLAS pool variables a fresh interpreter holds after importing the
+    CLI from an environment with none of them (nor TORSION_LAB_THREADS) set
+    but `set_vars`."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in POOL_VARS and k != "TORSION_LAB_THREADS"}
+    env.update(set_vars)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import json, os, torsionlab.cli; "
+            f"print(json.dumps([os.environ.get(v) for v in {POOL_VARS!r}]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return dict(zip(POOL_VARS, json.loads(out)))
+
+
+def test_cli_caps_blas_pools_by_default():
+    assert _pools_after_cli_import() == dict.fromkeys(POOL_VARS, "1")
+    assert _pools_after_cli_import(TORSION_LAB_THREADS="2") == dict.fromkeys(POOL_VARS, "2")
+    # a pool variable the user set wins over both
+    pools = _pools_after_cli_import(OPENBLAS_NUM_THREADS="3", TORSION_LAB_THREADS="2")
+    assert pools == {**dict.fromkeys(POOL_VARS, "2"), "OPENBLAS_NUM_THREADS": "3"}
+    assert _pools_after_cli_import(OMP_NUM_THREADS="4")["OMP_NUM_THREADS"] == "4"
 
 
 def test_birth_death_census_table(tmp_path):

@@ -6,6 +6,8 @@ import scipy.sparse as sp
 from torsionlab import witten1d as W
 from torsionlab.acceptance import _cos2 as cos2
 
+from util import factor_svals_exact_floor
+
 
 ZERO = (lambda s: 0.0 * s, lambda s: 0.0 * s, lambda s: 0.0 * s)
 
@@ -200,6 +202,17 @@ def test_agmon_decay_refuses_flat_potential():
         W.agmon_decay_check(ZERO, [10], b=0.5)
 
 
+def test_agmon_decay_refuses_flat_potential_before_any_eigensolve(monkeypatch):
+    # f = 0 leaves no node off the critical neighborhoods, so c_f does not
+    # exist: the refusal comes from that rule, not from the eigenvalue
+    def no_solve(*args, **kwargs):
+        raise AssertionError("spectrum called")
+
+    monkeypatch.setattr(W, "spectrum", no_solve)
+    with pytest.raises(ValueError, match="precondition undefined at T=10"):
+        W.agmon_decay_check(ZERO, [10], b=0.5)
+
+
 def test_cubic_model_scaling_and_growth():
     base = W.cubic_model_eigs(1.0, 6, n_nodes=1500)
     for T in (8.0, 64.0):
@@ -378,6 +391,87 @@ def test_factor_svals_window_never_undercounts_kernel():
                                          dim, 62, 14)
         assert kernel == 12 + structural
         assert (lam[:kernel] == 0).all() and (lam[kernel:] > 0.9).all()
+
+
+def test_factor_floor_norm_within_sqrt2_of_sigma_max():
+    # the floor reads ||GK||_inf = max(||B||_1, ||B||_inf): two entries per
+    # row and column of a (cyclic) bidiagonal B keep it in
+    # [sigma_max, sqrt(2) sigma_max], sigma_max from a dense SVD
+    eps = np.finfo(float).eps
+    factors = [W.assemble_factor(p) for A in (1.0, 2.0, 4.0)
+               for p in _glue_problems(cos2(0.05), 10.0, A, 0.12, 480, 0)]
+    factors += [W.assemble_factor(W.circle_problem(cos2(amp), T))
+                for amp, T in ((0.1, 20.0), (0.1, 30.0), (0.35, 20.0))]
+    assert {b.shape[0] == b.shape[1] for b in factors} == {True, False}
+    for b in factors:
+        sigma_max = np.linalg.svd(b.toarray(), compute_uv=False).max()
+        norm = max(np.abs(b).sum(axis=0).max(), np.abs(b).sum(axis=1).max())
+        _, floor = W._factor_svals(b, 4)
+        assert norm > 1 and floor == 64 * eps * norm
+        assert sigma_max <= norm * (1 + 4 * eps) and norm <= np.sqrt(2) * sigma_max
+
+
+def test_factor_svals_one_band_reduction_per_window(monkeypatch):
+    windows, solves = [], []
+    eig_banded = scipy.linalg.eig_banded
+    solve = W._factor_svals
+
+    def counting_eig_banded(*args, **kwargs):
+        windows.append(kwargs["select_range"])
+        return eig_banded(*args, **kwargs)
+
+    def counting_solve(b, want):
+        solves.append(want)
+        return solve(b, want)
+
+    monkeypatch.setattr(W.scipy.linalg, "eig_banded", counting_eig_banded)
+    monkeypatch.setattr(W, "_factor_svals", counting_solve)
+    W.gluing_scan(cos2(0.05), T=10.0, A_ladder=[1.0, 2.0], interface_r=0.12, k=7,
+                  n_nodes=480)
+    W.small_eigenvalue_scan(cos2(0.1), [20, 30, 40])
+    # the first window of every solve already reaches past the floor
+    assert len(solves) == 9 and len(windows) == len(solves)
+    assert [hi - lo + 1 for lo, hi in windows] == solves
+    # a window that holds only kernel values widens, one reduction per window
+    windows.clear()
+    diag = np.concatenate([np.zeros(12), np.linspace(1.0, 2.0, 50)])
+    solve(sp.diags(diag, 0, shape=(62, 63), format="csr"), 4)
+    assert [hi - lo + 1 for lo, hi in windows] == [4, 8, 16]
+
+
+def test_factor_svals_match_exact_sigma_max_floor(monkeypatch):
+    # oracle: the floor from an exact sigma_max solve (tests/util.py); no
+    # singular value lies between the two floors, so values, windows and
+    # kernels agree bit for bit
+    solve = W._factor_svals
+    shapes = []
+
+    def checked(b, want):
+        svals, floor = solve(b, want)
+        ref, ref_floor = factor_svals_exact_floor(b, want)
+        assert np.array_equal(svals, ref)
+        assert (svals <= floor).sum() == (ref <= ref_floor).sum()
+        assert ref_floor * (1 - 1e-12) <= floor <= np.sqrt(2) * ref_floor
+        shapes.append(b.shape)
+        return svals, floor
+
+    monkeypatch.setattr(W, "_factor_svals", checked)
+    # benchmark-like: the gluing ladder's band rungs at T=40 and circles of
+    # factor_spectrum across its amplitude and T ranges
+    for amp in (0.04, 0.06):
+        W.gluing_scan(cos2(amp), T=40.0, A_ladder=[1.0, 4.0, 16.0], interface_r=0.12, k=7)
+    for amp, T in ((0.08, 20.0), (0.12, 70.0)):
+        for deg in (0, 1):
+            W.factor_spectrum(W.circle_problem(cos2(amp), T, form_degree=deg), k=8)
+    # the gluing ladders and small-eigenvalue scans of the tests above
+    W.gluing_scan(cos2(0.05), T=10.0, A_ladder=[1.0, 2.0, 4.0], interface_r=0.12, k=7,
+                  n_nodes=480)
+    W.gluing_scan(cos2(0.05), T=10.0, A_ladder=[1.0, 4.0], interface_r=0.12, k=7,
+                  n_nodes=2400)
+    W.small_eigenvalue_scan(cos2(0.1), list(range(20, 81, 10)))
+    W.small_eigenvalue_scan(cos2(0.35), [20, 30, 40, 50])
+    W.small_eigenvalue_scan(cos2(0.1), [30, 40, 50], k_branches=2)
+    assert len(shapes) >= 40
 
 
 def _sturm_count(diag, off, x):

@@ -7,6 +7,7 @@ from torsionlab.acceptance import random_complex
 from torsionlab.graded import (GradedComplex, _pencil, _spectral_integrand, _split_spectrum,
                                euler_chars, euler_chars_cohomology, laplacian_spectrum)
 from torsionlab.forms import SuperconnectionFamily, _trapezoid_weights_log
+from torsionlab.witten1d import _golub_kahan_band
 
 
 def random_flat_family(rng, m=16):
@@ -196,3 +197,27 @@ def harmonic_connection_form_per_fiber(fam):
             acc += (-1.0) ** k * np.trace(w_h)
         out[j] = acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# the exact-sigma_max kernel floor of the Witten factor: an oracle for the
+# norm floor of torsionlab.witten1d._factor_svals
+# ---------------------------------------------------------------------------
+
+def factor_svals_exact_floor(b, want):
+    """witten1d._factor_svals with the floor 64 eps * max(sigma_max, 1),
+    sigma_max taken by a second index-selected eig_banded solve of the
+    Golub-Kahan band; the window rule is the same."""
+    band = _golub_kahan_band(b)
+    n, rank = band.shape[1], min(b.shape)
+
+    def eigs(lo, hi):
+        return scipy.linalg.eig_banded(band, lower=True, eigvals_only=True,
+                                       select="i", select_range=(lo, hi))
+
+    floor = 64 * np.finfo(float).eps * max(eigs(n - 1, n - 1)[0], 1.0)
+    while True:
+        svals = np.sort(np.abs(eigs(n - rank, n - rank + want - 1)))
+        if want == rank or svals[-1] > floor:
+            return svals, floor
+        want = min(rank, 2 * want)
