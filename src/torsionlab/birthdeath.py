@@ -11,6 +11,7 @@ bands the census argument uses.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -226,6 +227,33 @@ class ShapingProfiles:
         A = self.params.A if A is None else A
         return A * self.q_shape.value(s)
 
+    @functools.cached_property
+    def _merged(self):
+        """eta, eta_tilde and q_shape as one table per derivative order.
+
+        Returns (breaks, knots, tables). The interior knots of the three
+        profiles, merged, are `breaks`: searchsorted(breaks, s, "right") is the
+        merged interval j of s, on which each profile is a single piece. For
+        profile p (0 eta, 1 eta_tilde, 2 q_shape), knots[p, j] is the knot of
+        that piece, and row p * n_int + j of tables[k] is its row of the
+        profile's own tables[k], with the same zero padding in the high powers
+        up to the widest of the three.
+        """
+        profiles = (self.eta, self.eta_tilde, self.q_shape)
+        merged = np.unique(np.concatenate([pp._knot_array for pp in profiles]))
+        pieces = [np.clip(np.searchsorted(pp._knot_array, merged, side="right") - 1,
+                          0, len(pp.coeffs) - 1) for pp in profiles]
+        knots = np.stack([pp._knot_array[piece] for pp, piece in zip(profiles, pieces)])
+        tables = []
+        for k in range(3):
+            table = np.zeros((len(profiles) * merged.size,
+                              max(pp.tables[k].shape[1] for pp in profiles)))
+            for p, (pp, piece) in enumerate(zip(profiles, pieces)):
+                table[p * merged.size : (p + 1) * merged.size, : pp.tables[k].shape[1]] = \
+                    pp.tables[k][piece]
+            tables.append(_read_only(table))
+        return _read_only(merged[1:]), _read_only(knots), tuple(tables)
+
 
 def _build_eta(p: ModelParams):
     r1, r2, d = p.r1, p.r2, p.delta
@@ -423,10 +451,18 @@ def _model(p: ModelParams, prof: ShapingProfiles, us, with_hess=True):
     extended-precision residual checks, anything else becomes float64).
     Every profile is constant near the origin, so the radial chain-rule
     terms vanish at |u| = 0, where the divisions use 1 in place of |u|.
+
+    The three profiles are read together: one float64 search on their
+    merged knots (`ShapingProfiles._merged`) locates every piece, and each
+    derivative order is one Horner sweep over that order's table, with the
+    knot offsets and the operations of `PiecewisePoly.derivs`, so the
+    profile values are its values bit for bit. The Hessian is computed on
+    its upper triangle only, element by element as the full matrix would be
+    (every term is symmetric bit for bit), and gathered to full.
     """
     us = np.asarray(us)
     dt = us.dtype if us.dtype == np.longdouble else np.dtype(float)
-    us = us.astype(dt)
+    us = us.astype(dt, copy=False)
     m, dim = us.shape
     y, A = dt.type(p.y), dt.type(p.A)
     sgn = np.ones(dim, dtype=dt)
@@ -436,10 +472,15 @@ def _model(p: ModelParams, prof: ShapingProfiles, us, with_hess=True):
     rho = np.sqrt(np.sum(us * us, axis=1))
     r = np.where(rho > 0, rho, 1)
     uh = us / r[:, None]
-    orders = (0, 1, 2) if with_hess else (0, 1)
-    eta = prof.eta.derivs(rho, orders)
-    et = prof.eta_tilde.derivs(rho, orders)
-    q = [A * c for c in prof.q_shape.derivs(rho, orders)]
+    breaks, knots, tables = prof._merged
+    j = np.searchsorted(breaks, rho.astype(float, copy=False), side="right")
+    x = rho - knots.astype(dt, copy=False)[:, j]
+    rows = j + np.arange(0, knots.size, knots.shape[1])[:, None]  # p * n_int + j
+    sweeps = [_horner_rows(tables[k].astype(dt, copy=False), rows, x)
+              for k in ((0, 1, 2) if with_hess else (0, 1))]
+    eta = [d[0] for d in sweeps]
+    et = [d[1] for d in sweeps]
+    q = [A * d[2] for d in sweeps]
 
     vals = u0**3 - y * u0 + np.sum(sgn * us * us, axis=1)
     vals += -eta[0] * u1 + y * et[0] * u0 + q[0]
@@ -454,21 +495,39 @@ def _model(p: ModelParams, prof: ShapingProfiles, us, with_hess=True):
         return vals, grads, None
 
     def col(v):
-        return v[:, None, None]
+        return v[:, None]
 
-    eye = np.eye(dim, dtype=dt)
-    radial = uh[:, :, None] * uh[:, None, :]
+    ia, ib, full, eye, ea, eb = _upper_triangle(dim)
+    ua, ub = uh[:, ia], uh[:, ib]
+    radial = ua * ub
     proj = (eye - radial) / col(r)
-    cross1 = uh[:, :, None] * eye[1] + eye[1][:, None] * uh[:, None, :]
-    cross0 = uh[:, :, None] * eye[0] + eye[0][:, None] * uh[:, None, :]
-    hesss = np.tile(np.diag(2.0 * sgn), (m, 1, 1))
-    hesss[:, 0, 0] = 6.0 * u0
+    cross1 = ua * eb[1] + ea[1] * ub
+    cross0 = ua * eb[0] + ea[0] * ub
+    # the diagonal start: 2 sgn * eye would put -0.0 off the diagonal
+    hesss = np.tile(np.diag(2.0 * sgn)[ia, ib], (m, 1))
+    hesss[:, 0] = 6.0 * u0
     hesss += -col(u1) * (col(eta[2]) * radial + col(eta[1]) * proj)
     hesss += -col(eta[1]) * cross1
     hesss += y * col(u0) * (col(et[2]) * radial + col(et[1]) * proj)
     hesss += y * col(et[1]) * cross0
     hesss += col(q[2]) * radial + col(q[1]) * proj
-    return vals, grads, hesss
+    return vals, grads, hesss[:, full]
+
+
+@functools.cache
+def _upper_triangle(dim):
+    """The upper triangle of a dim x dim matrix, entry (0, 0) first, row by row.
+
+    Returns the row and column indices ia and ib; the (dim, dim) array that
+    maps (a, b) to the position of (min(a, b), max(a, b)); the identity on
+    the triangle; and eye[k][ia], eye[k][ib] for k = 0, 1. The 0.0 and 1.0
+    entries are float64, exact in longdouble arithmetic too.
+    """
+    ia, ib = np.triu_indices(dim)
+    full = np.empty((dim, dim), dtype=np.intp)
+    full[ia, ib] = full[ib, ia] = np.arange(ia.size)
+    eye = np.eye(dim)
+    return tuple(_read_only(a) for a in (ia, ib, full, eye[ia, ib], eye[:2, ia], eye[:2, ib]))
 
 
 def eval_f(p: ModelParams, prof: ShapingProfiles, u, with_hessian=True):
@@ -484,10 +543,10 @@ def _point_kernel(p: ModelParams, prof: ShapingProfiles):
 
     The formula is `_model`'s, written with Python floats: a call does no
     numpy work, which costs more than the arithmetic on one point of
-    dimension n + 1 (5-8 us for value_grad and 16-26 us for hessian, against
-    180-300 us for a batch of one through `_model`, n = 6, 2-core x86 VM,
-    numpy 2.4). Each call bisects once per profile and reads every order it
-    needs from that piece. Squares are summed in index order, which is
+    dimension n + 1 (about 4 us for value_grad and 12 us for hessian, against
+    43 us and 75 us for a batch of one through `_model` without and with
+    its Hessian, n = 6, 2-core x86 VM, numpy 2.4). Each call bisects once
+    per profile and reads every order it needs from that piece. Squares are summed in index order, which is
     numpy's order for vectors of up to seven entries (n <= 6).
 
     Both closures take a float64 array u of length n + 1.
@@ -615,12 +674,24 @@ def _newton_seeds(p: ModelParams, n_random=1000, n_angles=24):
 
 
 def _damped_steps(hesss, grads, lam):
-    """Levenberg-damped Newton steps (H + lam I)^-1 g over a batch."""
+    """Levenberg-damped Newton steps (H + lam I)^-1 g over a batch.
+
+    When some H + lam I is exactly singular, the rows are solved one by one
+    (the same bits as the batched solve) and only the singular ones fall
+    back to lstsq, so a row's step never depends on the rest of the batch.
+    """
     h = hesss + lam * np.eye(hesss.shape[-1])[None]
     try:
         return np.linalg.solve(h, grads[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        return np.stack([np.linalg.lstsq(hh, gg, rcond=None)[0] for hh, gg in zip(h, grads)])
+        pass
+    steps = np.empty_like(grads)
+    for k, (hh, gg) in enumerate(zip(h, grads)):
+        try:
+            steps[k] = np.linalg.solve(hh, gg[:, None])[:, 0]
+        except np.linalg.LinAlgError:
+            steps[k] = np.linalg.lstsq(hh, gg, rcond=None)[0]
+    return steps
 
 
 def find_critical_points(p: ModelParams, prof: ShapingProfiles, max_iter=80,
@@ -761,7 +832,7 @@ def radial_derivative_check(p: ModelParams, prof: ShapingProfiles, n_samples=100
     """Minimum of the radial derivative over the separating annulus.
 
     Annulus D(A r1/(A - C0), A r2/(A + C0)) with C0 = 10; returns None when
-    A = 0 (annulus undefined).
+    A <= C0, where the inner radius is undefined or negative.
     """
     if p.A <= C0_ANNULUS:
         return None

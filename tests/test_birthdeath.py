@@ -10,6 +10,7 @@ import scipy.integrate
 
 from torsionlab import birthdeath as B
 from torsionlab import witten1d as W
+from util import _model_oracle
 
 PARAMS = dict(n=6, i=3, r1=0.04, r2=0.06, delta=0.0015)
 DELTA = PARAMS["delta"]
@@ -128,10 +129,11 @@ def test_profiles_are_immutable(setup):
         prof.C2 = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         prof.eta = prof.eta_tilde
-    for pp in (prof.eta, prof.eta_tilde, prof.q_shape):
-        for arr in pp.tables + pp.coeffs:
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 1.0
+    breaks, knots, tables = prof._merged
+    for arr in [breaks, knots, *tables] + [a for pp in (prof.eta, prof.eta_tilde, prof.q_shape)
+                                           for a in pp.tables + pp.coeffs]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 def test_eval_at_origin(setup):
@@ -373,6 +375,89 @@ def test_point_kernel_matches_batched_kernel(y):
         assert np.abs(np.array(g) - grad).max() <= 2 * eps * max(1.0, np.abs(grad).max())
         h = hessian(u)
         assert h.shape == hess.shape and np.array_equal(h, hess)
+
+
+def _signed_zero_points(p, rng):
+    # in-plane points whose other components, and some in-plane ones, are
+    # exact +0.0 or -0.0, so that signed zeros reach the results
+    pts = np.zeros((24, p.n + 1))
+    pts[:, :2] = rng.normal(size=(24, 2)) * p.r2
+    pts[::2, 2:] = -0.0
+    pts[::3, 0] = -0.0
+    pts[1::3, 1] = 0.0
+    pts[2::6, 1] = -0.0
+    return np.vstack([pts, -np.zeros((1, p.n + 1))])
+
+
+@pytest.mark.parametrize("A", [1000.0, 1400.0, 2000.0])
+@pytest.mark.parametrize("y", [0.0, 0.5 * DELTA**2, -0.5 * DELTA**2])
+def test_model_matches_profile_by_profile_oracle(y, A):
+    # the merged-knot sweep and the upper-triangle Hessian give the bits of
+    # one derivs call per profile and full-matrix Hessian arithmetic: float64
+    # compared as bytes (the sign of zero included), longdouble by value and
+    # sign bit
+    p = B.ModelParams(y=y, A=A, **PARAMS)
+    prof = B.build_profiles(p, verify=False)
+    rng = np.random.default_rng(23)
+    us = np.vstack([_kernel_points(p, prof, rng), _signed_zero_points(p, rng)])
+    # longdouble radii just off every knot, on both sides: pieces are
+    # located by the float64 rounding of |u|
+    uld = np.vstack([us.astype(np.longdouble) * (1 + np.longdouble(e))
+                     for e in (2.0**-60, -2.0**-60)])
+    for with_hess in (True, False):
+        for got, want in zip(B._model(p, prof, us, with_hess),
+                             _model_oracle(p, prof, us, with_hess), strict=True):
+            if want is None:
+                assert got is None
+                continue
+            assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(B._model(p, prof, uld, with_hess),
+                             _model_oracle(p, prof, uld, with_hess), strict=True):
+            if want is None:
+                continue
+            assert got.dtype == want.dtype == np.longdouble
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                                np.signbit(want))
+
+
+@pytest.mark.parametrize("A", [1000.0, 1400.0, 2000.0])
+@pytest.mark.parametrize("y", [0.0, 0.5 * DELTA**2, -0.5 * DELTA**2])
+def test_census_matches_oracle_route(monkeypatch, y, A):
+    p = B.ModelParams(y=y, A=A, **PARAMS)
+    prof = B.build_profiles(p, verify=False)
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return B.find_critical_points(p, prof, n_random=200), B.radial_derivative_check(p, prof)
+
+    new, new_radial = run()
+    with monkeypatch.context() as m:
+        m.setattr(B, "_model", _model_oracle)
+        old, old_radial = run()
+    assert new_radial == old_radial
+    assert len(new) == len(old) > 0
+    for a, b in zip(new, old):
+        for field in ("location", "hessian_spectrum"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert (a.value, a.newton_residual, a.morse_index, a.birth_death) == \
+            (b.value, b.newton_residual, b.morse_index, b.birth_death)
+
+
+def test_damped_steps_isolate_a_singular_row():
+    # an exactly singular H + lam I takes lstsq for its own row only; every
+    # other row keeps the bits of the batched solve
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(300, 7, 7))
+    hesss, grads, lam = a + a.transpose(0, 2, 1), rng.normal(size=(300, 7)), 1e-7
+    batched = B._damped_steps(hesss, grads, lam)
+    hesss[123] = -lam * np.eye(7)
+    steps = B._damped_steps(hesss, grads, lam)
+    others = np.arange(300) != 123
+    assert steps[others].tobytes() == batched[others].tobytes()
+    lstsq = np.linalg.lstsq(hesss[123] + lam * np.eye(7), grads[123], rcond=None)[0]
+    assert np.array_equal(steps[123], lstsq)
 
 
 def _flow_runs(monkeypatch, kernel, run):

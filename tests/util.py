@@ -221,3 +221,58 @@ def factor_svals_exact_floor(b, want):
         if want == rank or svals[-1] > floor:
             return svals, floor
         want = min(rank, 2 * want)
+
+
+# ---------------------------------------------------------------------------
+# the profile-by-profile model kernel: an oracle for the merged-knot sweep
+# and the upper-triangle Hessian of torsionlab.birthdeath._model
+# ---------------------------------------------------------------------------
+
+def _model_oracle(p, prof, us, with_hess=True):
+    """birthdeath._model with one PiecewisePoly.derivs call per profile and
+    the Hessian built on full (m, n+1, n+1) arrays."""
+    us = np.asarray(us)
+    dt = us.dtype if us.dtype == np.longdouble else np.dtype(float)
+    us = us.astype(dt)
+    m, dim = us.shape
+    y, A = dt.type(p.y), dt.type(p.A)
+    sgn = np.ones(dim, dtype=dt)
+    sgn[1 : p.i + 1] = -1.0
+    sgn[0] = 0.0
+    u0, u1 = us[:, 0], us[:, 1]
+    rho = np.sqrt(np.sum(us * us, axis=1))
+    r = np.where(rho > 0, rho, 1)
+    uh = us / r[:, None]
+    orders = (0, 1, 2) if with_hess else (0, 1)
+    eta = prof.eta.derivs(rho, orders)
+    et = prof.eta_tilde.derivs(rho, orders)
+    q = [A * c for c in prof.q_shape.derivs(rho, orders)]
+
+    vals = u0**3 - y * u0 + np.sum(sgn * us * us, axis=1)
+    vals += -eta[0] * u1 + y * et[0] * u0 + q[0]
+    grads = 2.0 * sgn * us
+    grads[:, 0] = 3.0 * u0**2 - y
+    grads += -eta[1][:, None] * uh * u1[:, None]
+    grads[:, 1] -= eta[0]
+    grads += y * et[1][:, None] * uh * u0[:, None]
+    grads[:, 0] += y * et[0]
+    grads += q[1][:, None] * uh
+    if not with_hess:
+        return vals, grads, None
+
+    def col(v):
+        return v[:, None, None]
+
+    eye = np.eye(dim, dtype=dt)
+    radial = uh[:, :, None] * uh[:, None, :]
+    proj = (eye - radial) / col(r)
+    cross1 = uh[:, :, None] * eye[1] + eye[1][:, None] * uh[:, None, :]
+    cross0 = uh[:, :, None] * eye[0] + eye[0][:, None] * uh[:, None, :]
+    hesss = np.tile(np.diag(2.0 * sgn), (m, 1, 1))
+    hesss[:, 0, 0] = 6.0 * u0
+    hesss += -col(u1) * (col(eta[2]) * radial + col(eta[1]) * proj)
+    hesss += -col(eta[1]) * cross1
+    hesss += y * col(u0) * (col(et[2]) * radial + col(et[1]) * proj)
+    hesss += y * col(et[1]) * cross0
+    hesss += col(q[2]) * radial + col(q[1]) * proj
+    return vals, grads, hesss
