@@ -5,10 +5,10 @@ deformation of amplitude A): the second-order form is
 -u'' + T^2 (f' + p')^2 u -/+ T (f'' + p'') u. Two realizations are used:
 central differences with the explicit zeroth-order potential (the assembled
 operator the other checks run on), and a conjugated first-order difference
-factor B whose singular values give the exponentially small spectrum. An
-eigensolve of the assembled operator K has absolute error of order
-eps * ||K||, a relative error of eps * sigma_max^2 / lambda for a small
-eigenvalue lambda = sigma^2. The singular values of B come from bisection on
+factor B whose singular values give the exponentially small spectrum. The
+assembled operator K is solved by shift-invert Lanczos at every size, with
+absolute error of order eps * ||K||, a relative error of
+eps * sigma_max^2 / lambda for a small eigenvalue lambda = sigma^2. The singular values of B come from bisection on
 its Golub-Kahan matrix GK = [[0, B], [B^H, 0]] in band storage (Demmel and
 Kahan, Accurate singular values of bidiagonal matrices, 1990). On an
 interval piece that matrix is tridiagonal with zero diagonal, and bisection
@@ -494,25 +494,24 @@ def factor_eigenpairs(problem: WittenProblem1D, k):
 
 
 def spectrum(problem: WittenProblem1D, k):
-    """Lowest k eigenpairs of the assembled operator.
+    """Lowest k eigenpairs (1 <= k <= n // 4) of the assembled operator K.
 
-    Dense solve for moderate sizes, shift-invert Lanczos beyond; residuals
-    are checked at 1e-8 relative to max(1, |lambda|).
+    Shift-invert Lanczos (Ericsson and Ruhe, 1980) at every size, from a
+    fixed start vector: eigenvalues to a small multiple of eps * ||K||
+    absolute, checked against a dense eigh in the tests; residuals gated at
+    1e-8 max(1, |lambda|).
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     mat = assemble(problem)
     n = mat.shape[0]
     if k > n // 4:
         raise ValueError("k must stay below a quarter of the grid size")
-    if n <= 1200:
-        dense = mat.toarray()
-        w, vecs = scipy.linalg.eigh(dense)
-        w, vecs = w[:k], vecs[:, :k]
-    else:
-        shift = -1e-3 * max(1.0, np.abs(mat.diagonal()).max() / n)
-        v0 = np.full(n, 1.0 / np.sqrt(n))
-        w, vecs = spla.eigsh(mat, k=k, sigma=shift, which="LM", v0=v0)
-        order = np.argsort(w)
-        w, vecs = w[order], vecs[:, order]
+    shift = -1e-3 * max(1.0, np.abs(mat.diagonal()).max() / n)
+    v0 = np.full(n, 1.0 / np.sqrt(n))
+    w, vecs = spla.eigsh(mat, k=k, sigma=shift, which="LM", v0=v0)
+    order = np.argsort(w)
+    w, vecs = w[order], vecs[:, order]
     _checked_residuals(mat, w, vecs)
     kernel_tol = max(1e-8, 2e-6 * max(np.abs(w).max(), 1.0))
     kernel = int((w < kernel_tol).sum())

@@ -181,3 +181,22 @@ def test_witten_glue_default_config(tmp_path):
     res = np.array([float(r["residual"]) for r in rows])
     assert (lam >= 0).all() and (np.diff(lam) >= 0).all()
     assert (res <= 1e-8 * np.maximum(1.0, np.abs(lam))).all()
+
+
+def test_agmon_experiment(tmp_path, capsys):
+    outs = []
+    for name in ("a1", "a2"):
+        out = tmp_path / name
+        assert run_cli(["run", "agmon", "--output-dir", str(out)]) == 0
+        outs.append((out / "result.csv").read_bytes())
+    lines = outs[0].decode().strip().split("\n")
+    assert lines[0] == "t,sup_log_u_plus_b_rho"
+    assert len(lines) == 5  # header + T = 20, 40, 60, 80
+    assert outs[0] == outs[1]
+    # a flat potential leaves no node off the wells: the decay precondition
+    # is undefined, a configuration error
+    out = tmp_path / "flat"
+    capsys.readouterr()
+    assert run_cli(["run", "agmon", "--amplitude", "0", "--output-dir", str(out)]) == 2
+    assert "precondition" in capsys.readouterr().err
+    assert not out.exists()

@@ -7,7 +7,7 @@ import scipy.integrate
 from torsionlab import morse as M
 from torsionlab.graded import GradedComplex, cohomology_dims, euler_chars, finite_torsion
 
-from util import random_complex
+from util import random_complex, zeta_log_det_twisted_circle_diff
 
 
 def test_model_validation():
@@ -562,6 +562,16 @@ def test_zeta_oracle_matches_eigen_sum():
     # the difference of regularized log-dets equals the (convergent)
     # difference of the symmetric partial sums in the limit
     assert abs((z1 - z2) - (s1 - s2)) < 1e-4
+
+
+def test_zeta_oracle_matches_numerical_derivative():
+    # the Hurwitz zeta derivative equals the numerically differentiated
+    # zeta sum bit for bit, on random twists and the criterion and CLI ones
+    rng = np.random.default_rng(7)
+    thetas = list(rng.uniform(0.01, 2 * np.pi - 0.01, 36))
+    thetas += [1.0, 2.0, np.pi / 3, np.pi / 2, np.pi, 4 * np.pi / 3, 3.14159265]
+    for theta in thetas:
+        assert M.zeta_log_det_twisted_circle(theta) == zeta_log_det_twisted_circle_diff(theta)
 
 
 def test_cheeger_muller_sweep():

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from torsionlab import witten1d as W
 from torsionlab.acceptance import _cos2 as cos2
 
-from util import factor_svals_exact_floor
+from util import factor_svals_exact_floor, spectrum_dense_oracle
 
 
 ZERO = (lambda s: 0.0 * s, lambda s: 0.0 * s, lambda s: 0.0 * s)
@@ -100,6 +100,55 @@ def test_supersymmetric_pairing():
     assert np.abs(nz0 - nz1).max() <= 1e-6 * np.abs(nz0).max()
 
 
+def _spectrum_oracle_problems():
+    """The Agmon ladder of criterion 7 and the problems of the spectrum
+    tests above with n <= 3000, each with its k."""
+    f3 = (lambda s: 0.3 * np.cos(s), lambda s: -0.3 * np.sin(s),
+          lambda s: -0.3 * np.cos(s))
+    f2 = (lambda s: 0.2 * np.cos(s), lambda s: -0.2 * np.sin(s),
+          lambda s: -0.2 * np.cos(s))
+    s = np.linspace(-1, 1, 3000)
+    return ([(W.circle_problem(cos2(0.1), T), 2) for T in (20, 40, 60, 80)]
+            + [(W.circle_problem(ZERO, T=7.0, n_nodes=256), 4),
+               (W.circle_problem(f3, T=10.0), 4),
+               (W.circle_problem(f3, T=10.0, n_nodes=504), 4)]
+            + [(W.circle_problem(f2, T=8.0, n_nodes=n), 3) for n in (200, 400, 800)]
+            + [(W.WittenProblem1D("interval", s, 0 * s, 0 * s, 1.0, bc="absolute"), 4)])
+
+
+def test_spectrum_matches_dense_oracle():
+    # shift-invert Lanczos against every eigenvalue of the dense operator
+    # (measured worst 5.3 eps ||K||_1)
+    eps = np.finfo(float).eps
+    for prob, k in _spectrum_oracle_problems():
+        res = W.spectrum(prob, k)
+        ref = spectrum_dense_oracle(prob, k, vectors=False)
+        norm = abs(W.assemble(prob)).sum(axis=0).max()
+        assert np.abs(res.eigenvalues - ref.eigenvalues).max() <= 64 * eps * norm
+        assert res.kernel_dim == ref.kernel_dim
+
+
+def test_agmon_decay_matches_dense_oracle(monkeypatch):
+    # the two lowest values lie 1.1e-9 apart at T=60 and within roundoff
+    # (below 3e-11 on both routes) at T=80, yet the sups of both routes agree
+    ladder = [20, 40, 60, 80]
+    sups = W.agmon_decay_check(cos2(0.1), ladder, b=0.5)
+    monkeypatch.setattr(W, "spectrum", spectrum_dense_oracle)
+    ref = W.agmon_decay_check(cos2(0.1), ladder, b=0.5)
+    assert np.abs(sups - ref).max() <= 1e-9
+
+
+def test_spectrum_makes_no_dense_eigensolve(monkeypatch):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", no_dense)
+    monkeypatch.setattr(np.linalg, "eigh", no_dense)
+    prob = W.circle_problem(cos2(0.1), T=20.0)
+    assert prob.n_nodes == 315
+    assert W.spectrum(prob, 2).kernel_dim == 1
+
+
 def test_factor_solvers_refuse_k_below_one():
     prob = W.circle_problem(cos2(0.1), T=5.0)
     for k in (0, -1):
@@ -107,6 +156,8 @@ def test_factor_solvers_refuse_k_below_one():
             W.factor_spectrum(prob, k=k)
         with pytest.raises(ValueError, match="k must be at least 1"):
             W.factor_eigenpairs(prob, k)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            W.spectrum(prob, k)
         with pytest.raises(ValueError, match="k must be at least 1"):
             W.gluing_scan(cos2(0.05), T=10.0, A_ladder=[1.0], interface_r=0.12, k=k)
 

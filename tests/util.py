@@ -1,5 +1,6 @@
 """Shared generators for test complexes and families."""
 
+import mpmath
 import numpy as np
 import scipy.linalg
 
@@ -7,7 +8,7 @@ from torsionlab.acceptance import random_complex
 from torsionlab.graded import (GradedComplex, _pencil, _spectral_integrand, _split_spectrum,
                                euler_chars, euler_chars_cohomology, laplacian_spectrum)
 from torsionlab.forms import SuperconnectionFamily, _trapezoid_weights_log
-from torsionlab.witten1d import _golub_kahan_band
+from torsionlab.witten1d import SpectrumResult, _checked_residuals, _golub_kahan_band, assemble
 
 
 def random_flat_family(rng, m=16):
@@ -221,6 +222,45 @@ def factor_svals_exact_floor(b, want):
         if want == rank or svals[-1] > floor:
             return svals, floor
         want = min(rank, 2 * want)
+
+
+# ---------------------------------------------------------------------------
+# the dense route of the assembled Witten operator: an oracle for the
+# shift-invert Lanczos of torsionlab.witten1d.spectrum
+# ---------------------------------------------------------------------------
+
+def spectrum_dense_oracle(problem, k, vectors=True):
+    """witten1d.spectrum from every eigenpair of the dense assembled
+    operator (scipy.linalg.eigh), cut to the lowest k, with spectrum()'s
+    residual gate and kernel rule: the route it took up to n = 1200.
+    vectors=False skips the eigenvectors and the gate."""
+    mat = assemble(problem)
+    if vectors:
+        w, vecs = scipy.linalg.eigh(mat.toarray())
+        w, vecs = w[:k], vecs[:, :k]
+        _checked_residuals(mat, w, vecs)
+    else:
+        w, vecs = scipy.linalg.eigh(mat.toarray(), eigvals_only=True)[:k], None
+    kernel_tol = max(1e-8, 2e-6 * max(np.abs(w).max(), 1.0))
+    return SpectrumResult(eigenvalues=w, eigenvectors=vecs,
+                          kernel_dim=int((w < kernel_tol).sum()))
+
+
+# ---------------------------------------------------------------------------
+# the numerically differentiated zeta sum: an oracle for the Hurwitz zeta
+# derivative of torsionlab.morse.zeta_log_det_twisted_circle
+# ---------------------------------------------------------------------------
+
+def zeta_log_det_twisted_circle_diff(theta):
+    """morse.zeta_log_det_twisted_circle by mpmath.diff of
+    zeta_H(2s, a) + zeta_H(2s, 1 - a) at s = 0, at 40 digits."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf((theta / (2.0 * np.pi)) % 1.0)
+
+        def zsum(s):
+            return mpmath.zeta(2 * s, a) + mpmath.zeta(2 * s, 1 - a)
+
+        return float(-mpmath.diff(zsum, 0))
 
 
 # ---------------------------------------------------------------------------
