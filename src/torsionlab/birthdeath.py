@@ -15,6 +15,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.integrate
@@ -854,8 +855,11 @@ def flow_containment_probe(p, prof, point: CriticalPoint, c, direction="unstable
     direction 'unstable': flow along -grad f from small displacements in the
     negative eigenspace until f = f(point) - c; 'stable': flow along +grad f
     to f = f(point) + c. Crossings with |u| > r2 are collected and tested
-    against the containment box u0 <= 3 r2, |u^+| <= 5 r2 / 2.
+    against the containment box u0 <= 3 r2, |u^+| <= 5 r2 / 2. n_dirs < 1
+    raises ValueError.
     """
+    if n_dirs < 1:
+        raise ValueError("n_dirs must be at least 1")
     val0, _, hess = eval_f(p, prof, point.location)
     spec, vecs = np.linalg.eigh(hess)
     if direction == "unstable":
@@ -952,13 +956,22 @@ def flow_containment_probe(p, prof, point: CriticalPoint, c, direction="unstable
 
 
 def _trap_flow(p, prof, u0, t_end):
-    """Forward -grad f flow from u0 over [0, t_end].
+    """Forward -grad f flow from u0 over [0, t_end], every step recorded.
 
-    The radial Hessian eigenvalue is of order A, so the flow is stiff: LSODA
-    with the analytic Jacobian -hess f takes steps of the trajectory's own
-    scale where an explicit method is held to steps of about 1/A. Both the
-    right-hand side and the Jacobian come from the plain-float point kernel
-    (`_point_kernel`), built once per call: the flow makes no `_model` call.
+    Returns a namespace with `success`, `t` (steps, ending at t_end), `y`
+    ((n+1, len(t)) states) and `message` (the solver's, on failure).
+
+    The radial Hessian eigenvalue is of order A, so the flow is stiff. VODE's
+    BDF method with the analytic Jacobian -hess f takes steps of the
+    trajectory's own scale, where an explicit method is held to steps of
+    about 1/A. BDF needs no switching heuristic: a solver that switches
+    between Adams and BDF by one stays in Adams over much of this flow at
+    steps of about 1/A, with up to twice VODE's steps and three times its
+    right-hand-side calls at t_end = 5. VODE keeps no state between calls.
+    A last step past t_end is interpolated back to t_end.
+    Both the right-hand side and the Jacobian come from the plain-float point
+    kernel (`_point_kernel`), built once per call: the flow makes no `_model`
+    call.
     """
     value_grad, hessian = _point_kernel(p, prof)
 
@@ -968,20 +981,43 @@ def _trap_flow(p, prof, u0, t_end):
     def jac(t, u):
         return -hessian(u)
 
-    return scipy.integrate.solve_ivp(rhs, (0.0, t_end), u0, method="LSODA", jac=jac,
-                                     rtol=1e-8, atol=1e-12, max_step=1.0)
+    solver = scipy.integrate.ode(rhs, jac).set_integrator(
+        "vode", method="bdf", rtol=1e-8, atol=1e-12, max_step=1.0)
+    solver.set_initial_value(u0, 0.0)
+    ts, ys = [0.0], [np.array(u0, dtype=float)]
+    success, message = True, "reached t_end"
+    with warnings.catch_warnings():
+        # VODE reports a failed step by a warning; it becomes success=False
+        warnings.filterwarnings("error", message="vode: ", category=UserWarning)
+        try:
+            while solver.t < t_end:
+                ys.append(solver.integrate(t_end, step=True))
+                ts.append(solver.t)
+            if ts[-1] > t_end:
+                ys[-1] = solver.integrate(t_end)
+                ts[-1] = t_end
+        except UserWarning as failure:
+            success, message = False, str(failure)
+    return SimpleNamespace(success=success, t=np.array(ts), y=np.stack(ys, axis=1),
+                           message=message)
 
 
 def forward_trap_check(p, prof, n_traj=16, t_end=50.0):
     """Forward -grad flow started inside the inner separating ball stays in.
 
     Consequence of the positive radial derivative on the annulus; verified
-    by direct integration from random interior points. A trajectory whose
-    integration fails raises RuntimeError (a truncated trajectory proves
-    nothing about containment).
+    by direct integration (`_trap_flow`, VODE's BDF method) from n_traj
+    random interior points over [0, t_end]; max_radius is the largest |u|
+    at the solver's steps. A trajectory whose integration fails raises
+    RuntimeError (a truncated trajectory proves nothing about containment).
+    n_traj < 1 or t_end <= 0 raises ValueError before any integration.
     """
     if p.A <= C0_ANNULUS:
         raise ValueError("check needs A > C0")
+    if n_traj < 1:
+        raise ValueError("n_traj must be at least 1")
+    if not t_end > 0.0:
+        raise ValueError("t_end must be positive")
     r_in = p.A * p.r2 / (p.A + C0_ANNULUS)
     rng = np.random.default_rng(7)
     worst = 0.0

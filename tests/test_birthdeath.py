@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import tracemalloc
 import warnings
 import math
 from fractions import Fraction
@@ -10,7 +12,7 @@ import scipy.integrate
 
 from torsionlab import birthdeath as B
 from torsionlab import witten1d as W
-from util import _model_oracle
+from util import _model_oracle, trap_flow_lsoda_oracle
 
 PARAMS = dict(n=6, i=3, r1=0.04, r2=0.06, delta=0.0015)
 DELTA = PARAMS["delta"]
@@ -289,23 +291,133 @@ def test_forward_flow_trapped(setup):
     assert rep["contained"]
 
 
-def test_trap_flow_matches_explicit_reference(setup):
-    # the stiff LSODA flow against an explicit RK45 run of -grad f at the
-    # same tolerances, over a horizon short enough for the explicit method
+def test_trap_flow_matches_explicit_reference(setup, monkeypatch):
+    # the stiff BDF flow against an explicit RK45 run of -grad f at the
+    # same tolerances, over a horizon short enough for the explicit method;
+    # the flow's right-hand-side calls are counted through its point kernel
     p, prof, _ = setup
     r_in = p.A * p.r2 / (p.A + B.C0_ANNULUS)
+    calls = []
+    kernel = B._point_kernel
+
+    def counting(p_, prof_):
+        value_grad, hessian = kernel(p_, prof_)
+        return (lambda u: calls.append(1) or value_grad(u)), hessian
+
+    monkeypatch.setattr(B, "_point_kernel", counting)
     rng = np.random.default_rng(3)
     for _ in range(2):
         d = rng.normal(size=p.n + 1)
         u0 = 0.9 * r_in * d / np.linalg.norm(d)
+        calls.clear()
         stiff = B._trap_flow(p, prof, u0, 0.2)
         ref = scipy.integrate.solve_ivp(
             lambda t, u: -B.eval_f(p, prof, u, with_hessian=False)[1], (0.0, 0.2), u0,
             method="RK45", rtol=1e-8, atol=1e-12, max_step=1.0,
         )
         assert stiff.success and ref.success
+        assert stiff.t[-1] == 0.2
         assert np.linalg.norm(stiff.y[:, -1] - ref.y[:, -1]) <= 1e-6 * r_in
-        assert stiff.nfev < ref.nfev
+        assert 0 < len(calls) < ref.nfev
+
+
+@pytest.mark.parametrize("A", [400.0, 1000.0, 1400.0, 1500.0, 2000.0])
+def test_trap_flow_max_radius_matches_tight_reference(monkeypatch, A):
+    # trajectory 2 of the seeded starts grows past its start radius, so its
+    # max_radius is set by the integration, not by the start point: the BDF
+    # route's lies within 1e-11 r_in of a Radau run at rtol 1e-12 (read at
+    # the route's steps from the dense output), and no farther from it than
+    # the LSODA route it replaced
+    p = B.ModelParams(y=0.0, A=A, **PARAMS)
+    prof = B.build_profiles(p, verify=False)
+    r_in = p.A * p.r2 / (p.A + B.C0_ANNULUS)
+    t_end = 5.0
+    _, sols = _flow_runs(monkeypatch, B._point_kernel,
+                         lambda: B.forward_trap_check(p, prof, n_traj=3, t_end=t_end))
+    new = sols[2]
+    u0 = new.y[:, 0]
+    value_grad, hessian = B._point_kernel(p, prof)
+    ref = scipy.integrate.solve_ivp(
+        lambda t, u: [-g for g in value_grad(u)[1]], (0.0, t_end), u0, method="Radau",
+        jac=lambda t, u: -hessian(u), rtol=1e-12, atol=1e-14, dense_output=True,
+    )
+    old = trap_flow_lsoda_oracle(p, prof, u0, t_end)
+    assert ref.success and new.success and old.success
+    errs = []
+    for sol in (new, old):
+        radii = np.linalg.norm(sol.y, axis=0)
+        assert radii.max() > radii[0]
+        errs.append(abs(radii.max() - np.linalg.norm(ref.sol(sol.t), axis=0).max()))
+    assert errs[0] <= 1e-11 * r_in
+    assert errs[0] <= errs[1]
+
+
+def test_trap_flow_failure_is_a_numerical_failure(setup, monkeypatch):
+    # a gradient that turns NaN makes VODE fail its steps: the failure
+    # reaches forward_trap_check as success=False with VODE's message, and
+    # VODE's warning does not reach the caller
+    p, prof, _ = setup
+    u0 = np.full(p.n + 1, 0.01)
+    kernel = B._point_kernel
+
+    def turning_nan(p_, prof_):
+        value_grad, hessian = kernel(p_, prof_)
+        calls = []
+
+        def nan_after_50(u):
+            calls.append(1)
+            val, grad = value_grad(u)
+            return (val, [math.nan] * len(grad)) if len(calls) > 50 else (val, grad)
+
+        return nan_after_50, hessian
+
+    monkeypatch.setattr(B, "_point_kernel", turning_nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = B._trap_flow(p, prof, u0, 5.0)
+        assert not sol.success and sol.message.startswith("vode: ")
+        assert 0.0 < sol.t[-1] < 5.0 and sol.y.shape == (p.n + 1, sol.t.size)
+        with pytest.raises(RuntimeError, match=r"trap flow failed at A=1000\.0, .*: vode: "):
+            B.forward_trap_check(p, prof, n_traj=2, t_end=5.0)
+
+
+def test_trap_check_retains_no_solver_memory(setup):
+    # each solve frees its solver state: 30 checks keep under 8 KiB alive
+    # (the LSODA route kept its work arrays, about 88 KiB over these calls)
+    p, prof, _ = setup
+    B.forward_trap_check(p, prof, n_traj=2, t_end=0.5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for _ in range(30):
+            B.forward_trap_check(p, prof, n_traj=2, t_end=0.5)
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    retained = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert retained < 8 * 1024
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, prof, start: B.forward_trap_check(p, prof, n_traj=0),
+    lambda p, prof, start: B.forward_trap_check(p, prof, t_end=0.0),
+    lambda p, prof, start: B.forward_trap_check(p, prof, t_end=-1.0),
+    lambda p, prof, start: B.flow_containment_probe(p, prof, start, c=10 * p.r2**2, n_dirs=0),
+], ids=["n_traj=0", "t_end=0", "t_end=-1", "n_dirs=0"])
+def test_flow_checks_refuse_degenerate_requests(setup, monkeypatch, call):
+    # each of these used to return a vacuous or wrong verdict; both flows
+    # build their point kernel before integrating, so none is built
+    p, prof, _ = setup
+    start = [c for c in B.closed_form_candidates(p) if c.morse_index == p.i][0]
+
+    def no_flow(*args):
+        raise AssertionError("integration started")
+
+    monkeypatch.setattr(B, "_point_kernel", no_flow)
+    with pytest.raises(ValueError, match="must be"):
+        call(p, prof, start)
 
 
 def _parent_point_kernel(p, prof):

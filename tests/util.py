@@ -2,8 +2,10 @@
 
 import mpmath
 import numpy as np
+import scipy.integrate
 import scipy.linalg
 
+from torsionlab import birthdeath
 from torsionlab.acceptance import random_complex
 from torsionlab.graded import (GradedComplex, _pencil, _spectral_integrand, _split_spectrum,
                                euler_chars, euler_chars_cohomology, laplacian_spectrum)
@@ -316,3 +318,16 @@ def _model_oracle(p, prof, us, with_hess=True):
     hesss += y * col(et[1]) * cross0
     hesss += col(q[2]) * radial + col(q[1]) * proj
     return vals, grads, hesss
+
+
+# ---------------------------------------------------------------------------
+# the LSODA trap flow: the route torsionlab.birthdeath._trap_flow replaced
+# ---------------------------------------------------------------------------
+
+def trap_flow_lsoda_oracle(p, prof, u0, t_end):
+    """birthdeath._trap_flow as solve_ivp's LSODA, with the same right-hand
+    side, analytic Jacobian, tolerances and max_step."""
+    value_grad, hessian = birthdeath._point_kernel(p, prof)
+    return scipy.integrate.solve_ivp(
+        lambda t, u: [-g for g in value_grad(u)[1]], (0.0, t_end), u0, method="LSODA",
+        jac=lambda t, u: -hessian(u), rtol=1e-8, atol=1e-12, max_step=1.0)
