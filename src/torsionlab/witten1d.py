@@ -20,7 +20,10 @@ against 50-digit mpmath oracles in the tests. Values at or below the floor
 64 eps * max(||GK||_inf, 1) count as zero, with ||GK||_inf = max(||B||_1,
 ||B||_inf) in [sigma_max, sqrt(2) sigma_max]. A factor whose rank exceeds
 the band limit is solved instead by shift-invert Lanczos on its rank-sized
-Gram operator, to eps * ||op|| absolute. Either way B is solved once, and
+Gram operator, to eps * ||op|| absolute; that operator is positive
+semi-definite by construction, so each Lanczos step solves op - shift I at
+a negative shift by tridiagonal LDL^T (LAPACK dpttrf/dpttrs), the circle's
+cyclic corner by a bordered step. Either way B is solved once, and
 both form degrees read that one solve.
 
 Boundary conditions on an interval piece: 'absolute' is Neumann for 0-forms
@@ -356,10 +359,13 @@ def factor_spectrum(problem: WittenProblem1D, k=None, dense_limit=1800):
     on an interval piece and to about eps * sigma_max absolute on the
     circle, zero at or below 64 eps * max(||GK||_inf, 1), within sqrt(2) of
     64 eps * max(sigma_max, 1); larger factors take sparse shift-invert
-    Lanczos on the rank-sized Gram operator, to eps * ||op|| absolute, and
-    clamp its values below the roundoff floor 30 eps * ||op|| to zero. The k
-    lowest eigenvalues are returned with the kernel dimension; with k=None
-    at most 10. k < 1 is refused.
+    Lanczos on the rank-sized Gram operator, which is positive semi-definite
+    by construction, so op - shift I at the negative shift is positive
+    definite and each Lanczos step solves it by tridiagonal LDL^T (LAPACK
+    dpttrs, _shift_inverse), to eps * ||op|| absolute, and clamp its values
+    below the roundoff floor 30 eps * ||op|| to zero. The k lowest
+    eigenvalues are returned with the kernel dimension; with k=None at most
+    10. k < 1 is refused.
     """
     return _factor_spectra(problem, k, dense_limit)[problem.form_degree]
 
@@ -371,7 +377,9 @@ def _factor_spectra(problem: WittenProblem1D, k=None, dense_limit=1800):
     squares of its rank = min(B.shape) singular values; they differ only
     in their dim - rank structural zeros. So B is solved once: by band
     bisection when rank <= dense_limit, else by one shift-invert eigsh on
-    the Gram operator of size rank, the one with no structural kernel.
+    the Gram operator of size rank, the one with no structural kernel,
+    whose OPinv is the tridiagonal LDL^T solve of _factor_operator (no
+    sparse LU), eigenvalues to eps * ||op|| absolute.
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -383,9 +391,9 @@ def _factor_spectra(problem: WittenProblem1D, k=None, dense_limit=1800):
         svals, floor = _factor_svals(b, min(rank, want))
         lam, n_zero = svals**2, int((svals <= floor).sum())
     else:
-        op, shift, clamp, v0 = _factor_operator(b, 0 if rows >= cols else 1)
+        op, shift, clamp, v0, opinv = _factor_operator(b, 0 if rows >= cols else 1)
         lam = np.sort(spla.eigsh(op, k=min(rank - 2, want), sigma=shift, which="LM",
-                                 v0=v0, return_eigenvectors=False))
+                                 v0=v0, OPinv=opinv, return_eigenvectors=False))
         lam[np.abs(lam) < clamp] = 0.0
         n_zero = int((lam == 0.0).sum())
     return tuple(_padded_spectrum(lam, n_zero, dim, rank, k) for dim in (cols, rows))
@@ -442,15 +450,71 @@ def _count(k):
 
 
 def _factor_operator(b, form_degree):
-    """Shift-invert setup for the factor Laplacian: the CSC operator
-    B^H B (degree 0) or B B^H (degree 1), the shift, the roundoff floor
-    30 eps ||op|| below which its eigenvalues are zero (||op|| estimated as
-    2 max|diag|), and the fixed start vector."""
+    """Shift-invert setup for the factor Laplacian: the operator B^H B
+    (degree 0) or B B^H (degree 1), the shift -1e-6 ||op||, the roundoff
+    floor 30 eps ||op|| below which its eigenvalues are zero (||op||
+    estimated as 2 max|diag|), the fixed start vector and the OPinv of
+    eigsh, a tridiagonal LDL^T solve of op - shift I (_shift_inverse):
+    op is positive semi-definite by construction, so the negative shift
+    makes op - shift I positive definite."""
     op = (b.conj().T @ b) if form_degree == 0 else (b @ b.conj().T)
-    op = op.tocsc()
     norm_est = float(np.abs(op.diagonal()).max()) * 2.0
+    shift = -1e-6 * norm_est
     v0 = np.full(op.shape[0], 1.0 / np.sqrt(op.shape[0]))
-    return op, -1e-6 * norm_est, 30.0 * np.finfo(float).eps * norm_est, v0
+    return (op, shift, 30.0 * np.finfo(float).eps * norm_est, v0,
+            _shift_inverse(op, shift))
+
+
+def _pttrf(d, e):
+    """LAPACK dpttrf: the LDL^T factors (diagonal of D, subdiagonal of L)
+    of the symmetric tridiagonal matrix with diagonal d and off-diagonal e;
+    raises np.linalg.LinAlgError where it is not positive definite."""
+    d, e, info = scipy.linalg.lapack.dpttrf(d, e)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"shifted factor operator not positive definite (dpttrf info {info})")
+    return d, e
+
+
+def _shift_inverse(op, shift):
+    """x = (op - shift I)^{-1} r as an eigsh OPinv, for a real symmetric op
+    that is tridiagonal or tridiagonal plus the cyclic corner op[0, n-1]
+    (the circle's Gram operator), with op - shift I positive definite.
+
+    LAPACK's tridiagonal LDL^T (dpttrf once, dpttrs per solve) needs no
+    pivoting there and is backward stable, so the eigenvalues keep the
+    eps * ||op|| accuracy of the sparse LU it replaces. A corner is
+    eliminated last, as a bordered step: the leading n-1 block T' is
+    factored once and z = T'^{-1} u precomputed for the last column u,
+    whose nonzeros are the corner and op[n-2, n-1]; a solve is then one
+    dpttrs and scalar work, with no BLAS call. A matrix that is not
+    positive definite raises np.linalg.LinAlgError.
+    """
+    dpttrs = scipy.linalg.lapack.dpttrs
+    n = op.shape[0]
+    d, e = op.diagonal() - shift, op.diagonal(1)
+    corner = op[0, n - 1] if n > 2 else 0.0
+    if corner == 0.0:
+        df, ef = _pttrf(d, e)
+
+        def solve(r):
+            return dpttrs(df, ef, r)[0]
+    else:
+        df, ef = _pttrf(d[:-1], e[:-1])
+        edge = e[-1]
+        u = np.zeros(n - 1)
+        u[0], u[-1] = corner, edge
+        z = dpttrs(df, ef, u)[0]
+        schur = d[-1] - (corner * z[0] + edge * z[-1])
+        if not schur > 0.0:
+            raise np.linalg.LinAlgError(
+                "shifted factor operator not positive definite (bordered step)")
+
+        def solve(r):
+            y = dpttrs(df, ef, r[:-1])[0]
+            last = (r[-1] - corner * y[0] - edge * y[-1]) / schur
+            return np.append(y - last * z, last)
+    return spla.LinearOperator(op.shape, matvec=solve, dtype=float)
 
 
 def _checked_residuals(op, w, vecs):
@@ -467,18 +531,21 @@ def factor_eigenpairs(problem: WittenProblem1D, k):
     """Lowest k eigenpairs of the factor Laplacian B^H B (degree 0) or
     B B^H (degree 1), by shift-invert Lanczos with vectors.
 
-    The operator is positive semi-definite by construction, so values
-    below the roundoff floor 30 eps ||op|| are clamped to zero, as in
+    The operator is positive semi-definite by construction, so op - shift I
+    at the negative shift is positive definite and solved by tridiagonal
+    LDL^T (LAPACK dpttrs, the circle's cyclic corner by a bordered step;
+    _shift_inverse), eigenvalues to eps * ||op|| absolute; values below
+    the roundoff floor 30 eps ||op|| are clamped to zero, as in
     factor_spectrum. Residuals ||op v - lambda v|| are checked at
     1e-8 max(1, |lambda|), the gate of spectrum(); metadata['residuals']
     holds them. k < 1 is refused.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    op, shift, clamp, v0 = _factor_operator(assemble_factor(problem),
-                                            problem.form_degree)
+    op, shift, clamp, v0, opinv = _factor_operator(assemble_factor(problem),
+                                                   problem.form_degree)
     w, vecs = spla.eigsh(op, k=min(op.shape[0] - 2, k + 2), sigma=shift,
-                         which="LM", v0=v0)
+                         which="LM", v0=v0, OPinv=opinv)
     order = np.argsort(w)[:k]
     w, vecs = w[order], vecs[:, order]
     w[np.abs(w) < clamp] = 0.0
@@ -537,13 +604,15 @@ def gluing_scan(f_triple, T, A_ladder, interface_r, cuts=(np.pi / 4, 7 * np.pi /
     carries absolute conditions, the complement relative ones. Eigenvalues
     come from the factorized operators (factor_spectrum: band bisection up
     to rank 1800, zero at or below 64 eps * max(||GK||_inf, 1), within
-    sqrt(2) of 64 eps * max(sigma_max, 1); shift-invert Lanczos to
-    eps * ||op|| absolute beyond), the k lowest of the circle paired in
-    sorted order with the k lowest of the two pieces together. Each factor is
+    sqrt(2) of 64 eps * max(sigma_max, 1); beyond, shift-invert Lanczos on
+    the Gram operator, positive semi-definite by construction, with
+    op - shift I at the negative shift solved by tridiagonal LDL^T, to
+    eps * ||op|| absolute), the k lowest of the circle paired in sorted
+    order with the k lowest of the two pieces together. Each factor is
     solved once per rung, and both form degrees read that solve, so their
-    nonzero values agree bit for bit. Returns a table per form degree (0 and
-    1) with per-k gaps, plus the small-cluster count of the glued operator
-    against the summed exact kernel dimensions of the pieces.
+    nonzero values agree bit for bit. Returns a table per form degree (0
+    and 1) with per-k gaps, plus the small-cluster count of the glued
+    operator against the summed exact kernel dimensions of the pieces.
     """
     if not all(a2 > a1 for a1, a2 in zip(A_ladder, A_ladder[1:])):
         raise ValueError("A_ladder must be increasing")

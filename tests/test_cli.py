@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from torsionlab import cli
 from torsionlab.graded import IndeterminateKernelError
@@ -165,6 +166,19 @@ def test_linear_algebra_failure_exits_3(tmp_path, monkeypatch, error):
     monkeypatch.setitem(cli.RUNNERS, "torsion", failing_runner)
     out = tmp_path / "la"
     assert run_cli(["run", "torsion", "--output-dir", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_indefinite_factor_operator_exits_3(tmp_path, monkeypatch, capsys):
+    # dpttrf reporting a non-positive pivot of the shifted factor operator
+    # (A = 64 takes the sparse route) is a numerical failure
+    def indefinite(d, e):
+        return d, e, 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", indefinite)
+    out = tmp_path / "pd"
+    assert run_cli(["run", "witten-glue", "--A_ladder", "64", "--output-dir", str(out)]) == 3
+    assert "LinAlgError" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from torsionlab import witten1d as W
 from torsionlab.acceptance import _cos2 as cos2
 
-from util import factor_svals_exact_floor, spectrum_dense_oracle
+from util import (factor_eigenpairs_splu_oracle, factor_spectra_splu_oracle,
+                  factor_svals_exact_floor, spectrum_dense_oracle)
 
 
 ZERO = (lambda s: 0.0 * s, lambda s: 0.0 * s, lambda s: 0.0 * s)
@@ -411,11 +413,12 @@ def test_gluing_scan_one_band_solve_per_factor_and_rung(monkeypatch):
 
     # the benchmark ladder crosses the switch: each factor of rank above
     # 1800 takes one eigsh on its rank-sized Gram operator instead
-    sizes = []
+    sizes, opinvs = [], []
     eigsh = W.spla.eigsh
 
     def counting_eigsh(op, **kwargs):
         sizes.append(op.shape[0])
+        opinvs.append(kwargs.get("OPinv"))
         return eigsh(op, **kwargs)
 
     monkeypatch.setattr(W.spla, "eigsh", counting_eigsh)
@@ -427,6 +430,118 @@ def test_gluing_scan_one_band_solve_per_factor_and_rung(monkeypatch):
     assert sorted(sizes) == sorted(r for r in ranks if r > 1800)
     assert sorted(min(shape) for shape, _ in calls) == sorted(r for r in ranks if r <= 1800)
     assert len(sizes) == 5
+    # and each solves op - shift I by the tridiagonal LDL^T, not by eigsh's
+    # own sparse LU
+    assert all(isinstance(opinv, spla.LinearOperator) for opinv in opinvs)
+
+
+def _gram_norm(problem):
+    """The largest diagonal entry of the factor's Gram operators B^H B and
+    B B^H (the largest squared column or row norm of B), a lower bound on
+    their norm ||op||_2 = sigma_max^2."""
+    sq = abs(W.assemble_factor(problem)).power(2)
+    return max(sq.sum(axis=0).max(), sq.sum(axis=1).max())
+
+
+def _sparse_route_problems():
+    """Factors of rank above 1800: the A = 16 and 64 rungs of the benchmark
+    gluing ladder (circle, absolute and relative piece; the A = 16 relative
+    piece has rank 1279) and circles like the benchmark's large
+    factor_spectrum study."""
+    return ([p for A in (16.0, 64.0)
+             for p in _glue_problems(cos2(0.05), 40.0, A, 0.12, None, 0)]
+            + [W.circle_problem(cos2(amp), T, n_nodes=n)
+               for amp, T, n in ((0.08, 20.0, 2500), (0.1, 30.0, 3700), (0.12, 40.0, 5000))])
+
+
+def test_factor_spectra_match_splu_oracle():
+    # the LDL^T OPinv against eigsh's own SuperLU factorization of
+    # op - shift I (measured worst 0.012 eps ||op||_2); dense_limit=0 keeps
+    # every factor on the sparse route
+    eps = np.finfo(float).eps
+    problems = _sparse_route_problems()
+    assert sum(min(W.assemble_factor(p).shape) > 1800 for p in problems) == 8
+    for prob in problems:
+        norm = _gram_norm(prob)
+        for k in (7, 8):
+            ref = factor_spectra_splu_oracle(prob, k=k)
+            for (lam, kernel), (lam_ref, kernel_ref) in zip(
+                    W._factor_spectra(prob, k=k, dense_limit=0), ref):
+                assert kernel == kernel_ref
+                assert np.abs(lam - lam_ref).max() <= 8 * eps * norm
+
+
+def test_factor_eigenpairs_match_splu_oracle():
+    # witten-glue's companion table (the circle at the last rung of its
+    # default ladder, k = 6) in both degrees, and the absolute piece
+    eps = np.finfo(float).eps
+    full0, piece, _ = _glue_problems(cos2(0.05), 40.0, 64.0, 0.12, None, 0)
+    full1 = _glue_problems(cos2(0.05), 40.0, 64.0, 0.12, None, 1)[0]
+    for prob in (full0, full1, piece):
+        res = W.factor_eigenpairs(prob, 6)
+        ref = factor_eigenpairs_splu_oracle(prob, 6)
+        lam = res.eigenvalues
+        assert res.kernel_dim == ref.kernel_dim
+        assert np.abs(lam - ref.eigenvalues).max() <= 8 * eps * _gram_norm(prob)
+        assert (res.metadata["residuals"] <= 1e-8 * np.maximum(1.0, np.abs(lam))).all()
+
+
+def test_shift_inverse_backward_error():
+    # random right-hand sides on the cyclic circle operators and the plain
+    # interval ones, at the shift of _factor_operator
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(25)
+    full, piece, _ = _glue_problems(cos2(0.05), 40.0, 16.0, 0.12, None, 0)
+    for prob, cyclic in ((full, True), (piece, False)):
+        b = W.assemble_factor(prob)
+        for op in (b.T @ b, b @ b.T):
+            n = op.shape[0]
+            assert (op[0, n - 1] != 0) == cyclic
+            shift = -2e-6 * np.abs(op.diagonal()).max()
+            mat = op - shift * sp.identity(n)
+            norm = np.abs(mat).sum(axis=0).max()
+            solve = W._shift_inverse(op, shift)
+            for _ in range(4):
+                r = rng.standard_normal(n)
+                x = solve.matvec(r)
+                assert np.linalg.norm(mat @ x - r) <= 16 * eps * norm * np.linalg.norm(x)
+
+
+def test_shift_inverse_refuses_indefinite_operator():
+    # dpttrf reports the negative pivot of the plain operator and of the
+    # leading block of a cyclic one; the bordered step reports the negative
+    # Schur complement of a cyclic operator whose leading block is definite
+    plain = sp.diags([[2.0, -1.0, 2.0, 2.0], [-1.0] * 3, [-1.0] * 3], [0, 1, -1],
+                     format="csr")
+    cyclic = sp.lil_matrix(plain)
+    cyclic[0, 3] = cyclic[3, 0] = -1.0
+    bordered = sp.diags([[2.0] * 3, [-1.0] * 2, [-1.0] * 2], [0, 1, -1], format="lil")
+    bordered[0, 2] = bordered[2, 0] = -2.0
+    for op in (plain, cyclic.tocsr(), bordered.tocsr()):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            W._shift_inverse(op, 0.0)
+    # the shift of _factor_operator makes the positive semi-definite
+    # bordered circulant definite
+    circulant = sp.diags([[2.0] * 3, [-1.0] * 2, [-1.0] * 2], [0, 1, -1], format="lil")
+    circulant[0, 2] = circulant[2, 0] = -1.0
+    x = W._shift_inverse(circulant.tocsr(), -1e-6).matvec(np.ones(3))
+    assert np.allclose(x, 1e6, rtol=1e-9)
+
+
+def test_factor_paths_make_no_superlu_factorization(monkeypatch):
+    def no_splu(*args, **kwargs):
+        raise AssertionError("splu called")
+
+    # the name eigsh factors op - sigma I by
+    monkeypatch.setitem(spla.eigsh.__globals__, "splu", no_splu)
+    monkeypatch.setattr(spla, "splu", no_splu)
+    out = W.gluing_scan(cos2(0.05), T=40.0, A_ladder=[1.0, 4.0, 16.0, 64.0],
+                        interface_r=0.12, k=7)
+    assert [row["A"] for row in out[0]] == [1.0, 4.0, 16.0, 64.0]
+    full = _glue_problems(cos2(0.05), 40.0, 64.0, 0.12, None, 0)[0]
+    assert W.factor_eigenpairs(full, 6).kernel_dim == 1
+    with pytest.raises(AssertionError, match="splu called"):
+        factor_spectra_splu_oracle(full, k=4)
 
 
 def test_factor_svals_window_never_undercounts_kernel():

@@ -4,13 +4,15 @@ import mpmath
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from torsionlab import birthdeath
 from torsionlab.acceptance import random_complex
 from torsionlab.graded import (GradedComplex, _pencil, _spectral_integrand, _split_spectrum,
                                euler_chars, euler_chars_cohomology, laplacian_spectrum)
 from torsionlab.forms import SuperconnectionFamily, _trapezoid_weights_log
-from torsionlab.witten1d import SpectrumResult, _checked_residuals, _golub_kahan_band, assemble
+from torsionlab.witten1d import (SpectrumResult, _checked_residuals, _factor_operator,
+                                 _golub_kahan_band, _padded_spectrum, assemble, assemble_factor)
 
 
 def random_flat_family(rng, m=16):
@@ -224,6 +226,47 @@ def factor_svals_exact_floor(b, want):
         if want == rank or svals[-1] > floor:
             return svals, floor
         want = min(rank, 2 * want)
+
+
+# ---------------------------------------------------------------------------
+# eigsh's own SuperLU shift-invert of the Witten factor Gram operators: an
+# oracle for the tridiagonal LDL^T OPinv of torsionlab.witten1d
+# ---------------------------------------------------------------------------
+
+def _factor_splu_eigsh(b, form_degree, nev, vectors):
+    """The factor Gram operator op, its clamp, and the eigsh pairs (or
+    values) of op nearest the shift, at most dim - 2 of them, with
+    op - shift I factored by SuperLU."""
+    op, shift, clamp, v0, _ = _factor_operator(b, form_degree)
+    return op, clamp, spla.eigsh(op.tocsc(), k=min(op.shape[0] - 2, nev), sigma=shift,
+                                 which="LM", v0=v0, return_eigenvectors=vectors)
+
+
+def factor_spectra_splu_oracle(problem, k=None):
+    """witten1d._factor_spectra by its sparse route at every rank, with
+    eigsh factoring op - shift I by SuperLU instead of taking the LDL^T
+    OPinv: the route of factors of rank > dense_limit before that solve."""
+    b = assemble_factor(problem)
+    rows, cols = b.shape
+    rank = min(rows, cols)
+    _, clamp, lam = _factor_splu_eigsh(b, 0 if rows >= cols else 1, (k or 8) + 2, False)
+    lam = np.sort(lam)
+    lam[np.abs(lam) < clamp] = 0.0
+    n_zero = int((lam == 0.0).sum())
+    return tuple(_padded_spectrum(lam, n_zero, dim, rank, k) for dim in (cols, rows))
+
+
+def factor_eigenpairs_splu_oracle(problem, k):
+    """witten1d.factor_eigenpairs with eigsh factoring op - shift I by
+    SuperLU, its clamp and its residual gate."""
+    op, clamp, (w, vecs) = _factor_splu_eigsh(assemble_factor(problem), problem.form_degree,
+                                              k + 2, True)
+    order = np.argsort(w)[:k]
+    w, vecs = w[order], vecs[:, order]
+    w[np.abs(w) < clamp] = 0.0
+    _checked_residuals(op, w, vecs)
+    return SpectrumResult(eigenvalues=w, eigenvectors=vecs,
+                          kernel_dim=int((w == 0.0).sum()))
 
 
 # ---------------------------------------------------------------------------
