@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 
-from .graded import (GradedComplex, _adj, _euler, _kernel_dims, _laplacian_eigh, _pencil,
-                     _spectral_integrand, euler_chars)
+from .graded import (_adj, _euler, _kernel_dims, _laplacian_eigh, _pencil, _spectral_integrand,
+                     euler_chars)
 
 __all__ = [
     "SuperconnectionFamily",
@@ -133,18 +133,6 @@ class SuperconnectionFamily:
         for t in self.transports:
             p = t @ p
         return p
-
-
-def constant_family(fiber: GradedComplex, m: int, transport=None):
-    """Family with m copies of one fiber and a fixed transport."""
-    if transport is None:
-        transport = np.eye(fiber.total_rank, dtype=complex)
-    fibers = [
-        GradedComplex(fiber.ranks, [d.copy() for d in fiber.diffs],
-                      [g.copy() for g in fiber.metrics])
-        for _ in range(m)
-    ]
-    return SuperconnectionFamily(fibers, [np.array(transport, dtype=complex)] * m)
 
 
 # ---------------------------------------------------------------------------
@@ -409,50 +397,6 @@ def anomaly_check(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200):
 # ---------------------------------------------------------------------------
 # odd-fiber (circle) specialization
 # ---------------------------------------------------------------------------
-
-def circle_fiber_complex(n_fiber, twist=0.0, harmonic_scale=(1.0, 1.0)):
-    """De Rham complex of a discretized circle fiber as a graded complex.
-
-    n_fiber nodes; the wrap-around edge of the difference operator carries
-    e^{i twist}. harmonic_scale = (c0, c1) rescales the metric on the
-    identity-metric harmonic representatives in degrees 0 and 1 (only
-    meaningful for twist = 0 mod 2 pi, where harmonics exist).
-    """
-    nf = int(n_fiber)
-    h = 2.0 * np.pi / nf
-    d = np.zeros((nf, nf), dtype=complex)
-    for i in range(nf):
-        d[i, i] = -1.0 / h
-        d[i, (i + 1) % nf] = (np.exp(1j * twist) if i == nf - 1 else 1.0) / h
-    g0 = np.eye(nf, dtype=complex)
-    g1 = np.eye(nf, dtype=complex)
-    c0, c1 = harmonic_scale
-    if abs(np.exp(1j * twist) - 1.0) < 1e-12:
-        e0 = np.full(nf, 1.0 / np.sqrt(nf), dtype=complex)  # constants
-        g0 = g0 + (c0 - 1.0) * np.outer(e0, e0.conj())
-        # harmonic 1-cochain for the identity metric: kernel of d^H
-        w, vecs = np.linalg.eigh(d @ d.conj().T)
-        e1 = vecs[:, 0]
-        g1 = g1 + (c1 - 1.0) * np.outer(e1, e1.conj())
-    return GradedComplex((nf, nf), [d], [g0, g1])
-
-
-def circle_fiber_family(m, n_fiber, fiber_twist=0.0, base_twist=0.0,
-                        harmonic_scale_profile=None):
-    """Trivial circle-fiber family over an m-sample base circle.
-
-    harmonic_scale_profile(theta) -> (c0, c1) varies the metric on the
-    harmonic part of the fiber complex with the base point; base_twist is
-    a unitary scalar holonomy distributed evenly over the edges.
-    """
-    fibers = []
-    for j in range(m):
-        theta = 2.0 * np.pi * j / m
-        hs = (1.0, 1.0) if harmonic_scale_profile is None else harmonic_scale_profile(theta)
-        fibers.append(circle_fiber_complex(n_fiber, twist=fiber_twist, harmonic_scale=hs))
-    p = np.exp(1j * base_twist / m) * np.eye(2 * n_fiber, dtype=complex)
-    return SuperconnectionFamily(fibers, [p.copy() for _ in range(m)])
-
 
 def grr_residual(fam: SuperconnectionFamily, tau, t_max=80.0, n_t=200):
     """Odd-fiber residual d^S T^L_tau + h(GM connection): the local term.

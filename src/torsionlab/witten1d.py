@@ -7,24 +7,21 @@ central differences with the explicit zeroth-order potential (the assembled
 operator the other checks run on), and a conjugated first-order difference
 factor B whose singular values give the exponentially small spectrum. The
 assembled operator K is solved by shift-invert Lanczos at every size, with
-absolute error of order eps * ||K||, a relative error of
-eps * sigma_max^2 / lambda for a small eigenvalue lambda = sigma^2. The singular values of B come from bisection on
-its Golub-Kahan matrix GK = [[0, B], [B^H, 0]] in band storage (Demmel and
-Kahan, Accurate singular values of bidiagonal matrices, 1990). On an
-interval piece that matrix is tridiagonal with zero diagonal, and bisection
-gives every singular value to a few eps relative, however small it is. On
-the circle B is cyclic and its band is reduced to tridiagonal form by
-rotations first, so a singular value there has an absolute error of about
-eps * sigma_max, and values below that are noise. Both claims are checked
-against 50-digit mpmath oracles in the tests. Values at or below the floor
-64 eps * max(||GK||_inf, 1) count as zero, with ||GK||_inf = max(||B||_1,
-||B||_inf) in [sigma_max, sqrt(2) sigma_max]. A factor whose rank exceeds
-the band limit is solved instead by shift-invert Lanczos on its rank-sized
-Gram operator, to eps * ||op|| absolute; that operator is positive
-semi-definite by construction, so each Lanczos step solves op - shift I at
-a negative shift by tridiagonal LDL^T (LAPACK dpttrf/dpttrs), the circle's
-cyclic corner by a bordered step. Either way B is solved once, and
-both form degrees read that one solve.
+absolute error of order eps * ||K||, a relative error of eps * sigma_max^2
+/ lambda for a small eigenvalue lambda = sigma^2. The singular values of B are
+eigenvalues of GK = [[0, B], [B^H, 0]]. On an interval piece B is
+bidiagonal, GK a zero-diagonal tridiagonal, and bisection gives every
+singular value to a few eps relative, however small (Demmel and Kahan,
+Accurate singular values of bidiagonal matrices, 1990). On the circle B is
+cyclic, and each value is the root of a bordered secular equation, O(n) per
+value, to about eps * sigma_max absolute (values below that are noise).
+Both claims are checked against 50-digit mpmath oracles in the tests. A
+factor whose rank exceeds dense_limit is solved instead by shift-invert
+Lanczos on its rank-sized Gram operator, to eps * ||op|| absolute; that
+operator is positive semi-definite by construction, so each Lanczos step
+solves op - shift I at a negative shift by tridiagonal LDL^T (LAPACK
+dpttrf/dpttrs), the circle's cyclic corner by a bordered step. Either way B
+is solved once, and both form degrees read that one solve.
 
 Boundary conditions on an interval piece: 'absolute' is Neumann for 0-forms
 and Dirichlet for 1-forms, 'relative' the swap.
@@ -63,6 +60,7 @@ __all__ = [
 ]
 
 SMOOTH_FRAC = 1e-4
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -355,17 +353,15 @@ def factor_spectrum(problem: WittenProblem1D, k=None, dense_limit=1800):
     read one solve of B (see _factor_spectra), so they share every nonzero
     value bit for bit, and exact kernel dimensions follow from the factor
     shape and rank. Factors of rank up to dense_limit take their lowest
-    singular values by banded Golub-Kahan bisection, to a few eps relative
-    on an interval piece and to about eps * sigma_max absolute on the
-    circle, zero at or below 64 eps * max(||GK||_inf, 1), within sqrt(2) of
-    64 eps * max(sigma_max, 1); larger factors take sparse shift-invert
-    Lanczos on the rank-sized Gram operator, which is positive semi-definite
-    by construction, so op - shift I at the negative shift is positive
-    definite and each Lanczos step solves it by tridiagonal LDL^T (LAPACK
-    dpttrs, _shift_inverse), to eps * ||op|| absolute, and clamp its values
-    below the roundoff floor 30 eps * ||op|| to zero. The k lowest
-    eigenvalues are returned with the kernel dimension; with k=None at most
-    10. k < 1 is refused.
+    singular values from _factor_svals: to a few eps relative on an
+    interval piece, to about eps * sigma_max absolute on the circle, zero at
+    or below 64 eps * max(||GK||_inf, 1), within sqrt(2) of
+    64 eps * max(sigma_max, 1). Larger factors take shift-invert Lanczos on
+    the rank-sized Gram operator, solved by tridiagonal LDL^T
+    (_shift_inverse), to eps * ||op|| absolute, its values below the
+    roundoff floor 30 eps * ||op|| clamped to zero. The k lowest eigenvalues
+    are returned with the kernel dimension; with k=None at most 10. k < 1
+    is refused.
     """
     return _factor_spectra(problem, k, dense_limit)[problem.form_degree]
 
@@ -375,11 +371,10 @@ def _factor_spectra(problem: WittenProblem1D, k=None, dense_limit=1800):
 
     B does not depend on the form degree, and B^H B and B B^H share the
     squares of its rank = min(B.shape) singular values; they differ only
-    in their dim - rank structural zeros. So B is solved once: by band
-    bisection when rank <= dense_limit, else by one shift-invert eigsh on
-    the Gram operator of size rank, the one with no structural kernel,
-    whose OPinv is the tridiagonal LDL^T solve of _factor_operator (no
-    sparse LU), eigenvalues to eps * ||op|| absolute.
+    in their dim - rank structural zeros. So B is solved once: by
+    _factor_svals when rank <= dense_limit, else by one shift-invert eigsh
+    on the Gram operator of size rank, the one with no structural kernel,
+    whose OPinv is the tridiagonal LDL^T solve of _factor_operator.
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -399,37 +394,107 @@ def _factor_spectra(problem: WittenProblem1D, k=None, dense_limit=1800):
     return tuple(_padded_spectrum(lam, n_zero, dim, rank, k) for dim in (cols, rows))
 
 
-def _golub_kahan_band(b):
-    """Lower band storage of the Golub-Kahan matrix [[0, B], [B^H, 0]]
-    after a reverse Cuthill-McKee reordering: bandwidth 1 (the
-    zero-diagonal tridiagonal) for a bidiagonal B, 2 for a cyclic one."""
-    gk = sp.bmat([[None, b], [b.conj().T, None]], format="csr")
-    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(gk, symmetric_mode=True)
-    gk = gk[perm][:, perm].tocoo()
-    lower = gk.row >= gk.col
-    i, j = gk.row[lower], gk.col[lower]
-    band = np.zeros((int((i - j).max()) + 1, gk.shape[0]), dtype=gk.dtype)
-    band[i - j, j] = gk.data[lower]
-    return band
-
-
 def _factor_svals(b, want):
     """Lowest singular values of the factor (ascending) and the kernel
     floor 64 eps * max(||GK||_inf, 1), at or below which they count as zero:
     ||GK||_inf = max(||B||_1, ||B||_inf) is in [sigma_max, sqrt(2) sigma_max],
-    B having at most two entries per row and column. Index-selected
-    bisection (LAPACK sbevx) on the banded GK, whose eigenvalues are +-sigma
-    and |rows - cols| zeros, reduces the band once per window of `want`
-    values, widened until it passes the floor: no kernel value is left out.
+    B having at most two entries per row and column. A square (circle) B is
+    cyclic (_cyclic_svals). A bidiagonal (interval) B takes index-selected
+    bisection (LAPACK sbevx) on GK, the zero-diagonal tridiagonal band of
+    B's two diagonals interleaved, once per window of `want` values, widened
+    until it passes the floor: no kernel value is left out. The band runs
+    the way reverse Cuthill-McKee ordered it, from the end opposite the
+    first degree-1 node in np.argsort of the node degrees, bit for bit.
     """
-    band, lo, rank = _golub_kahan_band(b), max(b.shape), min(b.shape)
-    floor = 64 * np.finfo(float).eps * max(spla.norm(b, 1), spla.norm(b, np.inf), 1.0)
+    norm = max(spla.norm(b, 1), spla.norm(b, np.inf))
+    floor = 64 * EPS * max(norm, 1.0)
+    (rows, cols), lo, rank = b.shape, max(b.shape), min(b.shape)
+    if rows == cols:
+        return _cyclic_svals(b, want, floor, norm), floor
+    band = np.zeros((2, rows + cols))
+    band[1, 0:-1:2], band[1, 1:-1:2] = b.diagonal(), b.diagonal(1 if rows < cols else -1)
+    ends = [rows, rows + cols - 1] if rows < cols else [0, rows - 1]
+    degrees = np.where(np.isin(np.arange(rows + cols), ends), 1, 2)
+    if np.argsort(degrees)[0] != ends[1]:
+        band[1, :-1] = band[1, -2::-1]
     while True:
         svals = np.sort(np.abs(scipy.linalg.eig_banded(
             band, lower=True, eigvals_only=True, select="i", select_range=(lo, lo + want - 1))))
         if want == rank or svals[-1] > floor:
             return svals, floor
         want = min(rank, 2 * want)
+
+
+def _cyclic_svals(b, want, floor, norm):
+    """The `want` lowest singular values of a real cyclic B (B[i, i],
+    B[i, i+1 mod n]), zero below the floor, O(n) each by the bordered
+    secular equation (Golub 1973; Bunch, Nielsen and Sorensen 1978): GK
+    without the column node y_0 is the zero-diagonal path P (x_0, y_1, x_1,
+    ..., x_{n-1}) with border u = B[0, 0] e_first + B[n-1, 0] e_last. By
+    interlacing sigma_j lies in [mu_{n-1+j}, mu_{n+j}] of P's symmetric
+    spectrum (mu_{n-1} = 0; LAPACK stebz) as the root of
+    s(x) = -x - u^T (P - x)^{-1} u, and one dgtsv solve, with no BLAS call,
+    gives s and s' = -1 - ||(P - x)^{-1} u||^2. By Haynsworth's inertia
+    formula GK has as many eigenvalues below x as P, plus one if s(x) < 0,
+    so the kernel is counted at the floor, in a window widened until its
+    last mu passes it. A singular solve or a root off its bracket raises
+    np.linalg.LinAlgError."""
+    n = b.shape[0]
+    off = np.stack([b.diagonal(1), b.diagonal()[1:]], axis=1).ravel()
+    mu = [0.0, *scipy.linalg.eigh_tridiagonal(
+        np.zeros(2 * n - 1), off, eigvals_only=True, select="i",
+        select_range=(n, n - 2 + min(want + 1, n))).tolist(), norm]
+    if want < n and mu[want] < floor:
+        return _cyclic_svals(b, min(n, 2 * want), floor, norm)
+    u = np.concatenate([[b[0, 0]], np.zeros(2 * n - 3), [b[n - 1, 0]]])
+
+    def s(x):
+        z, info = scipy.linalg.lapack.dgtsv(off, np.full(2 * n - 1, -x), off, u)[3:]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"secular solve at {x!r} failed (dgtsv info {info})")
+        return float(-x - (u[0] * z[0] + u[-1] * z[-1])), float(-1.0 - (z * z).sum())
+
+    svals = np.zeros(want)
+    for j in range(min(want, sum(m < floor for m in mu[1:want + 1]) + (s(floor)[0] < 0)), want):
+        svals[j] = _secular_root(s, mu[j], mu[j + 1], 2 * EPS * norm)
+        if not mu[j] <= svals[j] <= mu[j + 1]:
+            raise np.linalg.LinAlgError(f"secular root {svals[j]!r} off [{mu[j]!r}, {mu[j + 1]!r}]")
+    return svals
+
+
+def _secular_root(s, lo, hi, tau):
+    """Root of the secular function s (value, slope) between its poles
+    lo < hi. s is not resolved within tau of a pole, so the guards hi - tau
+    and lo + tau come first: a root beyond one is that pole. A pole that
+    dominates s at its guard (s = w / (x - p) there) is divided out at that
+    p: Newton steps on F = s * prod(x - p), started from the secant of F
+    through the guards, keep the sign bracket of s."""
+    a, b = lo + tau, hi - tau
+    if b <= a:
+        return 0.5 * (lo + hi)
+    guards = []
+    for guard, pole, side in ((b, hi, -1.0), (a, lo, 1.0)):
+        guards.append((guard, *s(guard)))
+        if side * guards[-1][1] <= 0:
+            return pole
+    poles = [g + v / d for g, v, d in guards if abs(v / d) <= 2 * tau]
+
+    def pole_free(x, val, slope):
+        for p in poles:
+            val, slope = val * (x - p), slope * (x - p) + val
+        return val, slope
+
+    (fb, _), (fa, _) = (pole_free(*g) for g in guards)
+    x = a - fa * (b - a) / (fb - fa)
+    for _ in range(100):
+        val, slope = s(x)
+        a, b = (x, b) if val > 0 else (a, x)
+        f, df = pole_free(x, val, slope)
+        x, last = x - f / df if df else 0.5 * (a + b), x
+        if abs(x - last) <= 0.5 * tau or b - a <= tau:
+            return min(max(x, a), b)
+        x = x if a < x < b else 0.5 * (a + b)
+    raise np.linalg.LinAlgError("secular iteration did not converge")
 
 
 def _padded_spectrum(lam, n_zero, dim, rank, k):
@@ -529,16 +594,11 @@ def _checked_residuals(op, w, vecs):
 
 def factor_eigenpairs(problem: WittenProblem1D, k):
     """Lowest k eigenpairs of the factor Laplacian B^H B (degree 0) or
-    B B^H (degree 1), by shift-invert Lanczos with vectors.
-
-    The operator is positive semi-definite by construction, so op - shift I
-    at the negative shift is positive definite and solved by tridiagonal
-    LDL^T (LAPACK dpttrs, the circle's cyclic corner by a bordered step;
-    _shift_inverse), eigenvalues to eps * ||op|| absolute; values below
-    the roundoff floor 30 eps ||op|| are clamped to zero, as in
-    factor_spectrum. Residuals ||op v - lambda v|| are checked at
-    1e-8 max(1, |lambda|), the gate of spectrum(); metadata['residuals']
-    holds them. k < 1 is refused.
+    B B^H (degree 1), by the shift-invert Lanczos of factor_spectrum's
+    large factors (_factor_operator), with vectors: eigenvalues to
+    eps * ||op|| absolute, those below 30 eps ||op|| clamped to zero.
+    Residuals ||op v - lambda v|| are checked at 1e-8 max(1, |lambda|), the
+    gate of spectrum(); metadata['residuals'] holds them. k < 1 is refused.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -602,17 +662,14 @@ def gluing_scan(f_triple, T, A_ladder, interface_r, cuts=(np.pi / 4, 7 * np.pi /
     For each amplitude in A_ladder the circle gets the odd interface
     deformation at both cuts; the piece between the cuts (minus plateau)
     carries absolute conditions, the complement relative ones. Eigenvalues
-    come from the factorized operators (factor_spectrum: band bisection up
-    to rank 1800, zero at or below 64 eps * max(||GK||_inf, 1), within
-    sqrt(2) of 64 eps * max(sigma_max, 1); beyond, shift-invert Lanczos on
-    the Gram operator, positive semi-definite by construction, with
-    op - shift I at the negative shift solved by tridiagonal LDL^T, to
-    eps * ||op|| absolute), the k lowest of the circle paired in sorted
-    order with the k lowest of the two pieces together. Each factor is
-    solved once per rung, and both form degrees read that solve, so their
-    nonzero values agree bit for bit. Returns a table per form degree (0
-    and 1) with per-k gaps, plus the small-cluster count of the glued
-    operator against the summed exact kernel dimensions of the pieces.
+    come from the factorized operators (factor_spectrum: _factor_svals up
+    to rank 1800, shift-invert Lanczos beyond), the k lowest of the circle
+    paired in sorted order with the k lowest of the two pieces together.
+    Each factor is solved once per rung, and both form degrees read that
+    solve, so their nonzero values agree bit for bit. Returns a table per
+    form degree (0 and 1) with per-k gaps, plus the small-cluster count of
+    the glued operator against the summed exact kernel dimensions of the
+    pieces.
     """
     if not all(a2 > a1 for a1, a2 in zip(A_ladder, A_ladder[1:])):
         raise ValueError("A_ladder must be increasing")
@@ -732,10 +789,9 @@ def small_eigenvalue_scan(f_triple, T_ladder, k_branches=1, n_nodes=None, underf
     ts_used = {j: [] for j in range(1, k_branches + 1)}
     for T in T_ladder:
         prob = circle_problem(f_triple, T, n_nodes=n_nodes, form_degree=0)
-        # the branch values are exponentially small: force the band
-        # bisection of the factor, whose error is eps * sigma_max in sigma
-        # rather than eps * ||K|| in lambda; the circle's kernel is the
-        # constants, one value below the branches
+        # the branch values are exponentially small: force the secular solve
+        # (error eps * sigma_max in sigma, not eps * ||op|| in lambda); the
+        # circle's kernel is the constants, one value below the branches
         lam, kernel = factor_spectrum(prob, k=k_branches + 1, dense_limit=6000)
         nonzero = lam[lam > 0]
         for j in range(1, k_branches + 1):

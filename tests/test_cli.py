@@ -182,6 +182,19 @@ def test_indefinite_factor_operator_exits_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_singular_secular_solve_exits_3(tmp_path, monkeypatch, capsys):
+    # dgtsv reporting a singular P - x in the secular solve of the circle
+    # factor (small-eig takes it at every T) is a numerical failure
+    def singular(dl, d, du, b, **kwargs):
+        return dl, d, du, b, 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", singular)
+    out = tmp_path / "sec"
+    assert run_cli(["run", "small-eig", "--output-dir", str(out)]) == 3
+    assert "LinAlgError" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_witten_glue_default_config(tmp_path):
     # the README example: the companion table comes from the factored
     # operator B^H B, whose eigenvalues are nonnegative

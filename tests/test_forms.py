@@ -8,9 +8,9 @@ from torsionlab.acceptance import _anomaly_family as anomaly_family
 from torsionlab.acceptance import random_metric
 from torsionlab.graded import GradedComplex, euler_chars_cohomology, finite_torsion
 
-from util import (edge_data, h_form_expm, h_prime_mat, harmonic_basis,
-                  harmonic_connection_form_per_fiber, random_complex, random_flat_family,
-                  torsion_form_per_fiber, transgression_expm)
+from util import (circle_fiber_family, constant_family, edge_data, h_form_expm, h_prime_mat,
+                  harmonic_basis, harmonic_connection_form_per_fiber, random_complex,
+                  random_flat_family, torsion_form_per_fiber, transgression_expm)
 
 
 def _x0(fiber):
@@ -30,10 +30,10 @@ def _h_prime_frechet(x, y):
 
 def test_family_validation():
     fib = GradedComplex((1, 1), [np.array([[1.0]])])
-    fam = F.constant_family(fib, 8)
+    fam = constant_family(fib, 8)
     assert fam.n_samples == 8
     with pytest.raises(ValueError, match="8 base samples"):
-        F.constant_family(fib, 4)
+        constant_family(fib, 4)
     # grading violation
     bad = np.array([[1.0, 0.1], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError, match="grading"):
@@ -50,7 +50,7 @@ def test_adjoint_superconnection_unitary_case():
     q, _ = np.linalg.qr(rng.normal(size=(1, 1)) + 1j * rng.normal(size=(1, 1)))
     fib = GradedComplex((1, 1), [np.array([[1.5]], dtype=complex)])
     p = np.kron(np.eye(2), q)  # block scalar unitary on both degrees
-    fam = F.constant_family(fib, 8, transport=p)
+    fam = constant_family(fib, 8, transport=p)
     adj = F.adjoint_superconnection(fam)
     v = fib.full_differential()
     assert np.allclose(adj["vstar"][0], v.conj().T)
@@ -76,7 +76,7 @@ def test_adjoint_transport_pairing_random():
 def test_h_form_unitary_flat_case():
     # v = 0, unitary transport, constant metric: degree-1 part vanishes
     fib = GradedComplex((2, 2), [np.zeros((2, 2))])
-    fam0 = F.constant_family(fib, 8)
+    fam0 = constant_family(fib, 8)
     h0 = F.h_form(fam0)
     assert np.abs(h0.degree1).max() < 1e-14
 
@@ -106,7 +106,7 @@ def test_transgression_constant_path_zero():
 def test_transgression_uniform_scaling_closed_form():
     fam = anomaly_family(16)
     fib = fam.fibers[0]
-    consts = F.constant_family(fib, 16)
+    consts = constant_family(fib, 16)
     path = lambda l, j: [np.exp(2 * l) * np.asarray(g) for g in fib.metrics]
     tg = F.transgression(consts, path, n_l=33)
     x0 = _x0(fib)
@@ -277,7 +277,7 @@ def test_torsion_form_point_base_matches_finite_torsion():
 
         if _min_nonzero_eig(fib) < 0.5:
             continue
-        fam = F.constant_family(fib, 8)
+        fam = constant_family(fib, 8)
         vals = [
             F.torsion_form_TL(fam, tau, t_max=200.0, n_t=3000).degree0[0].real
             for tau in (4e-4, 2e-4)
@@ -300,7 +300,7 @@ def test_batched_eigensolves_match_per_fiber_routes():
     assert 0 in rank0.ranks
     cases = [(anomaly_family(32), 80.0, False), (anomaly_family(64), 80.0, False),
              (rank0, 80.0, True),
-             (F.circle_fiber_family(32, 10, harmonic_scale_profile=prof), 150.0, True)]
+             (circle_fiber_family(32, 10, harmonic_scale_profile=prof), 150.0, True)]
     for fam, t_max, harmonic in cases:
         assert any(b.size for b in harmonic_basis(fam.fibers[0])) == harmonic
         tl = F.torsion_form_TL(fam, 1e-3, t_max=t_max, n_t=150)
@@ -319,7 +319,7 @@ def test_harmonic_connection_form_reads_kernel_dims_once(monkeypatch):
     # flat families have one cohomology: dim H^k comes from the fiber-0
     # spectrum, one _split_spectrum call per degree, not one per fiber
     prof = lambda th: (np.exp(0.25 * np.sin(th)), 1.0)
-    fam = F.circle_fiber_family(32, 10, harmonic_scale_profile=prof)
+    fam = circle_fiber_family(32, 10, harmonic_scale_profile=prof)
     gm = harmonic_connection_form_per_fiber(fam)
     calls = []
     split = G._split_spectrum
@@ -352,7 +352,7 @@ def test_torsion_form_one_eigensolve_per_degree(monkeypatch):
 
 def test_torsion_form_tail_guard():
     fib = GradedComplex((1, 1), [np.array([[0.05]])])  # tiny spectrum
-    fam = F.constant_family(fib, 8)
+    fam = constant_family(fib, 8)
     with pytest.raises(F.TailNotConvergedError):
         F.torsion_form_TL(fam, tau=1e-3, t_max=20.0, n_t=100)
 
@@ -373,7 +373,7 @@ def test_torsion_form_tail_with_cohomology():
 def test_anomaly_constant_family_zero():
     fib = GradedComplex((1, 2, 1),
                         [np.array([[1.0], [1.0]]), np.array([[1.0, -1.0]])])
-    fam = F.constant_family(fib, 8)
+    fam = constant_family(fib, 8)
     out = F.anomaly_check(fam, tau=1e-3, t_max=80.0, n_t=120)
     assert out["max_residual"] < 1e-10
 
@@ -399,7 +399,7 @@ def test_metric_change_formula_cross_module():
         if _min_nonzero_eig(fib) < 0.5:
             continue
         fib0 = fib.with_metrics([np.eye(r, dtype=complex) for r in fib.ranks])
-        fam = F.constant_family(fib0, 8)
+        fam = constant_family(fib0, 8)
         n = fib.top_degree
 
         def path_at(tau, fib=fib, n=n):
@@ -425,23 +425,23 @@ def test_anomaly_with_harmonic_term():
     # family with nonzero cohomology and varying harmonic metric: the
     # Gauss-Manin term enters the identity and the residual stays tiny
     prof = lambda th: (np.exp(0.25 * np.sin(th)), 1.0)
-    fam = F.circle_fiber_family(32, 10, harmonic_scale_profile=prof)
+    fam = circle_fiber_family(32, 10, harmonic_scale_profile=prof)
     out = F.anomaly_check(fam, tau=1e-3, t_max=150.0, n_t=150)
     assert out["max_residual"] <= 1e-8
 
 
 def test_grr_trivial_cases():
-    fam = F.circle_fiber_family(16, 10)
+    fam = circle_fiber_family(16, 10)
     r = F.grr_residual(fam, tau=1e-3, t_max=150.0, n_t=150)
     assert r["max_residual"] < 1e-12
-    fam = F.circle_fiber_family(16, 10, fiber_twist=0.7)
+    fam = circle_fiber_family(16, 10, fiber_twist=0.7)
     r = F.grr_residual(fam, tau=1e-3, t_max=8000.0, n_t=400)
     assert r["max_residual"] < 1e-12
 
 
 def test_grr_varying_harmonic_metric():
     prof = lambda th: (np.exp(0.3 * np.sin(th)),) * 2
-    fam = F.circle_fiber_family(64, 10, base_twist=1.3, harmonic_scale_profile=prof)
+    fam = circle_fiber_family(64, 10, base_twist=1.3, harmonic_scale_profile=prof)
     r = F.grr_residual(fam, tau=1e-3, t_max=150.0, n_t=200)
     assert r["max_residual"] <= 1e-3
 
@@ -450,7 +450,7 @@ def test_grr_asymmetric_variation_matches_local_term():
     # the identity d T = local - h(GM): with only the degree-0 harmonic
     # metric varying, the residual must equal the reported local term
     prof = lambda th: (np.exp(0.3 * np.sin(th)), 1.0)
-    fam = F.circle_fiber_family(32, 10, harmonic_scale_profile=prof)
+    fam = circle_fiber_family(32, 10, harmonic_scale_profile=prof)
     r = F.grr_residual(fam, tau=1e-3, t_max=150.0, n_t=150)
     assert r["max_local_term"] > 0.05  # genuinely nonzero local term
     assert np.abs(r["residual"] - r["local_term"]).max() < 1e-8

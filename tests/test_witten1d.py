@@ -7,8 +7,9 @@ import scipy.sparse.linalg as spla
 from torsionlab import witten1d as W
 from torsionlab.acceptance import _cos2 as cos2
 
-from util import (factor_eigenpairs_splu_oracle, factor_spectra_splu_oracle,
-                  factor_svals_exact_floor, spectrum_dense_oracle)
+from util import (band_sigma_max, factor_eigenpairs_splu_oracle, factor_spectra_splu_oracle,
+                  factor_svals_band_oracle, factor_svals_exact_floor, golub_kahan_band,
+                  spectrum_dense_oracle)
 
 
 ZERO = (lambda s: 0.0 * s, lambda s: 0.0 * s, lambda s: 0.0 * s)
@@ -587,7 +588,8 @@ def test_factor_svals_one_band_reduction_per_window(monkeypatch):
         return eig_banded(*args, **kwargs)
 
     def counting_solve(b, want):
-        solves.append(want)
+        if b.shape[0] != b.shape[1]:
+            solves.append(want)
         return solve(b, want)
 
     monkeypatch.setattr(W.scipy.linalg, "eig_banded", counting_eig_banded)
@@ -595,8 +597,9 @@ def test_factor_svals_one_band_reduction_per_window(monkeypatch):
     W.gluing_scan(cos2(0.05), T=10.0, A_ladder=[1.0, 2.0], interface_r=0.12, k=7,
                   n_nodes=480)
     W.small_eigenvalue_scan(cos2(0.1), [20, 30, 40])
-    # the first window of every solve already reaches past the floor
-    assert len(solves) == 9 and len(windows) == len(solves)
+    # the interval pieces: the first window of every solve already reaches
+    # past the floor; the circles take the secular solve and no band
+    assert len(solves) == 4 and len(windows) == len(solves)
     assert [hi - lo + 1 for lo, hi in windows] == solves
     # a window that holds only kernel values widens, one reduction per window
     windows.clear()
@@ -607,15 +610,20 @@ def test_factor_svals_one_band_reduction_per_window(monkeypatch):
 
 def test_factor_svals_match_exact_sigma_max_floor(monkeypatch):
     # oracle: the floor from an exact sigma_max solve (tests/util.py); no
-    # singular value lies between the two floors, so values, windows and
-    # kernels agree bit for bit
+    # singular value lies between the two floors, so on the interval pieces
+    # values, windows and kernels agree bit for bit; the circles take the
+    # secular solve and are held to the band route within 8 eps sigma_max,
+    # with equal kernels
     solve = W._factor_svals
     shapes = []
 
     def checked(b, want):
         svals, floor = solve(b, want)
         ref, ref_floor = factor_svals_exact_floor(b, want)
-        assert np.array_equal(svals, ref)
+        if b.shape[0] == b.shape[1]:
+            _assert_matches_band_oracle(b, svals, floor)
+        else:
+            assert np.array_equal(svals, ref)
         assert (svals <= floor).sum() == (ref <= ref_floor).sum()
         assert ref_floor * (1 - 1e-12) <= floor <= np.sqrt(2) * ref_floor
         shapes.append(b.shape)
@@ -629,15 +637,18 @@ def test_factor_svals_match_exact_sigma_max_floor(monkeypatch):
     for amp, T in ((0.08, 20.0), (0.12, 70.0)):
         for deg in (0, 1):
             W.factor_spectrum(W.circle_problem(cos2(amp), T, form_degree=deg), k=8)
-    # the gluing ladders and small-eigenvalue scans of the tests above
+    # the gluing ladders and small-eigenvalue scans of the tests above, and
+    # the A = 2 rung at T = 40, whose 688 x 689 absolute piece reverse
+    # Cuthill-McKee orders from its other end (the band follows it)
     W.gluing_scan(cos2(0.05), T=10.0, A_ladder=[1.0, 2.0, 4.0], interface_r=0.12, k=7,
                   n_nodes=480)
+    W.gluing_scan(cos2(0.05), T=40.0, A_ladder=[2.0], interface_r=0.12, k=7)
     W.gluing_scan(cos2(0.05), T=10.0, A_ladder=[1.0, 4.0], interface_r=0.12, k=7,
                   n_nodes=2400)
     W.small_eigenvalue_scan(cos2(0.1), list(range(20, 81, 10)))
     W.small_eigenvalue_scan(cos2(0.35), [20, 30, 40, 50])
     W.small_eigenvalue_scan(cos2(0.1), [30, 40, 50], k_branches=2)
-    assert len(shapes) >= 40
+    assert len(shapes) >= 40 and (688, 689) in shapes
 
 
 def _sturm_count(diag, off, x):
@@ -731,8 +742,8 @@ def test_interval_factor_svals_relative_accuracy_against_mpmath():
 def test_circle_factor_svals_against_periodic_mpmath():
     # oracle: 50-digit periodic Sturm bisection on the cyclic tridiagonal
     # B^T B of the circle factor, for its two lowest nonzero eigenvalues;
-    # the band of the cyclic factor is reduced by rotations, so the error
-    # is absolute, about eps * sigma_max
+    # the secular solve of the cyclic factor resolves its roots to about
+    # eps * ||GK||, so the error is absolute, about eps * sigma_max
     import mpmath
 
     prob = W.circle_problem(cos2(0.1), 60.0)
@@ -751,6 +762,164 @@ def test_circle_factor_svals_against_periodic_mpmath():
                 lambda x: _periodic_sturm_count(diag, off, x), j, lam[j])
             err = abs(np.sqrt(lam[j]) - float(sigma))
             assert err <= 8 * np.finfo(float).eps * sigma_max, (j, err)
+
+
+EPS = np.finfo(float).eps
+
+
+def _mp_circle_singular_value(b, j, guess):
+    """The j-th lowest singular value of the cyclic factor b by 40-digit
+    periodic Sturm bisection on B^T B."""
+    import mpmath
+
+    n = b.shape[0]
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(float(b[i, i])) for i in range(n)]
+        c = [mpmath.mpf(float(b[i, (i + 1) % n])) for i in range(n)]
+        diag = [a[i] ** 2 + c[i - 1] ** 2 for i in range(n)]
+        off = [a[i] * c[i] for i in range(n)]
+        return float(_bisect_singular_value(
+            lambda x: _periodic_sturm_count(diag, off, x), j, guess**2))
+
+
+def _assert_matches_band_oracle(b, svals, floor):
+    """Circle values of the secular solve against the band route of
+    tests/util.py: equal floors and kernels, and every nonzero value within
+    8 eps sigma_max. The band route is itself only that accurate: where it
+    misses by more, the 40-digit value decides, and the secular value must
+    lie within eps sigma_max of it, closer than the band route."""
+    ref, ref_floor = factor_svals_band_oracle(b, len(svals))
+    kernel = int((svals <= floor).sum())
+    assert ref_floor == floor and kernel == int((ref <= ref_floor).sum())
+    assert (svals[:kernel] == 0).all()
+    tol = 8 * EPS * band_sigma_max(golub_kahan_band(b))
+    for j in range(kernel, min(len(svals), len(ref))):
+        if abs(svals[j] - ref[j]) > tol:
+            exact = _mp_circle_singular_value(b, j, svals[j])
+            assert abs(svals[j] - exact) <= tol / 8 < abs(ref[j] - exact), (j, svals[j], ref[j])
+
+
+def _circle_factors():
+    """Benchmark-like cyclic factors and their windows: the small-eigenvalue
+    ladders, the A = 1 and A = 4 gluing circles at T = 40 and the circles
+    of factor_spectrum at T = 20 and 70."""
+    out = [(W.assemble_factor(W.circle_problem(cos2(amp), T)), 4)
+           for amp in (0.08, 0.12) for T in range(20, 81, 10)]
+    out += [(W.assemble_factor(_glue_problems(cos2(amp), 40.0, A, 0.12, None, 0)[0]), 9)
+            for amp in (0.04, 0.06) for A in (1.0, 4.0)]
+    out += [(W.assemble_factor(W.circle_problem(cos2(amp), T)), 10)
+            for amp, T in ((0.08, 20.0), (0.12, 70.0))]
+    return out
+
+
+def test_circle_factor_svals_match_band_oracle():
+    # the secular solve against the band route it replaced, with the
+    # 40-digit value deciding where the two differ by more than
+    # 8 eps sigma_max (the sigma_4 of the A = 4 gluing circle of
+    # cos2(0.06), where the band route is 9.7 eps sigma_max off)
+    for b, want in _circle_factors():
+        svals, floor = W._factor_svals(b, want)
+        assert len(svals) == want
+        _assert_matches_band_oracle(b, svals, floor)
+
+
+def test_circle_factor_svals_near_pole_root():
+    # sigma_1 of cos2(0.1) at T = 20 lies within an ulp-scale distance of an
+    # eigenvalue of the path P, where the secular function cannot be
+    # resolved: the guard returns that eigenvalue, which is within
+    # 8 eps sigma_max of the 40-digit value
+    b = W.assemble_factor(W.circle_problem(cos2(0.1), 20.0))
+    n = b.shape[0]
+    svals, floor = W._factor_svals(b, 4)
+    norm = max(abs(b).sum(axis=0).max(), abs(b).sum(axis=1).max())
+    off = np.empty(2 * n - 2)
+    off[0::2], off[1::2] = b.diagonal(1), b.diagonal()[1:]
+    mu = scipy.linalg.eigh_tridiagonal(np.zeros(2 * n - 1), off, eigvals_only=True)
+    assert np.abs(mu - svals[1]).min() <= 2 * EPS * norm
+    sigma_max = band_sigma_max(golub_kahan_band(b))
+    assert abs(svals[1] - _mp_circle_singular_value(b, 1, svals[1])) <= 8 * EPS * sigma_max
+    _assert_matches_band_oracle(b, svals, floor)
+
+
+def _cyclic(diag, upper):
+    """Square cyclic factor with B[i, i] = diag[i], B[i, i+1 mod n] = upper[i]."""
+    n = len(diag)
+    i = np.arange(n)
+    return sp.csr_matrix((np.concatenate([diag, upper]),
+                          (np.concatenate([i, i]), np.concatenate([i, (i + 1) % n]))),
+                         shape=(n, n))
+
+
+def test_twisted_cyclic_factor_svals_have_no_kernel():
+    # antiperiodic difference on 64 nodes: B is normal with singular values
+    # 2 sin((2k + 1) pi / 128), each double, so half the roots sit exactly
+    # on eigenvalues of the path P; and a random twisted factor against a
+    # dense SVD
+    n = 64
+    b = _cyclic(-np.ones(n), np.concatenate([np.ones(n - 1), [-1.0]]))
+    svals, floor = W._factor_svals(b, 8)
+    exact = 2 * np.sin((2 * (np.arange(8) // 2) + 1) * np.pi / (2 * n))
+    assert (svals > floor).all() and np.abs(svals - exact).max() <= 8 * EPS * 2
+    rng = np.random.default_rng(5)
+    upper = rng.uniform(0.5, 2.0, n)
+    upper[-1] *= -1.0
+    b = _cyclic(-rng.uniform(0.5, 2.0, n), upper)
+    svals, floor = W._factor_svals(b, 10)
+    dense = np.linalg.svd(b.toarray(), compute_uv=False)
+    assert (svals > floor).all()
+    assert np.abs(svals - np.sort(dense)[:10]).max() <= 8 * EPS * dense.max()
+
+
+def test_cyclic_factor_svals_window_never_undercounts_kernel():
+    # three zero rows give three zero singular values: a window of two
+    # holds only kernel values and must widen until it passes the floor
+    rng = np.random.default_rng(7)
+    n = 40
+    diag, upper = -rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    diag[[5, 17, 29]] = upper[[5, 17, 29]] = 0.0
+    b = _cyclic(diag, upper)
+    svals, floor = W._factor_svals(b, 2)
+    dense = np.sort(np.linalg.svd(b.toarray(), compute_uv=False))
+    assert len(svals) == 4 and (svals[:3] == 0).all() and svals[3] > floor
+    assert np.abs(svals[3:] - dense[3:4]).max() <= 8 * EPS * dense.max()
+    lam, kernel = W._padded_spectrum(svals**2, int((svals <= floor).sum()), n, n, 4)
+    assert kernel == 3 and (lam[:3] == 0).all() and lam[3] > 0
+
+
+def test_cyclic_factor_kernel_counted_at_the_floor():
+    # a corner 1 + delta on the free circle leaves one singular value of
+    # 35 (delta = 1e-12) or 70 (2e-12) eps * ||GK||_inf: the first lies
+    # below the floor 64 eps * ||GK||_inf and is counted by the inertia of
+    # the bordered matrix, an exact zero, though root-finding would resolve
+    # it; the second is a root
+    n = 64
+    for delta, kernel in ((1e-12, 1), (2e-12, 0)):
+        b = _cyclic(-np.ones(n), np.concatenate([np.ones(n - 1), [1.0 + delta]]))
+        svals, floor = W._factor_svals(b, 4)
+        dense = np.sort(np.linalg.svd(b.toarray(), compute_uv=False))
+        assert int((svals <= floor).sum()) == kernel == int((dense <= floor).sum())
+        assert (svals[:kernel] == 0).all()
+        assert np.abs(svals[kernel:] - dense[kernel:4]).max() <= 8 * EPS * dense.max()
+
+
+def test_circle_secular_solves_per_value(monkeypatch):
+    # one dgtsv solve per secular step: the guards settle most roots, and
+    # the interior ones converge in a few Newton steps. Measured: 45 solves
+    # for these 13 values (3.5 per value, the kernel's floor count
+    # included); midpoint bisection would take about 50 per value
+    calls = []
+    dgtsv = scipy.linalg.lapack.dgtsv
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return dgtsv(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", counting)
+    values = 0
+    for b, want in ((W.assemble_factor(_glue_problems(cos2(0.05), 40.0, 4.0, 0.12, None, 0)[0]), 9),
+                    (W.assemble_factor(W.circle_problem(cos2(0.1), 50.0)), 4)):
+        values += len(W._factor_svals(b, want)[0])
+    assert values == 13 and len(calls) <= 48
 
 
 def test_cubic_model_matches_dense_eigh():

@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.csgraph
 import scipy.sparse.linalg as spla
 
 from torsionlab import birthdeath
@@ -12,7 +14,7 @@ from torsionlab.graded import (GradedComplex, _pencil, _spectral_integrand, _spl
                                euler_chars, euler_chars_cohomology, laplacian_spectrum)
 from torsionlab.forms import SuperconnectionFamily, _trapezoid_weights_log
 from torsionlab.witten1d import (SpectrumResult, _checked_residuals, _factor_operator,
-                                 _golub_kahan_band, _padded_spectrum, assemble, assemble_factor)
+                                 _padded_spectrum, assemble, assemble_factor)
 
 
 def random_flat_family(rng, m=16):
@@ -63,6 +65,66 @@ def random_flat_family(rng, m=16):
         fibers.append(GradedComplex(fib.ranks, diffs, mets))
         transports.append(rot(th + dth) @ np.linalg.inv(u))
     return SuperconnectionFamily(fibers, transports)
+
+
+# ---------------------------------------------------------------------------
+# fixture families: constant fibers and the discretized circle fiber
+# ---------------------------------------------------------------------------
+
+def constant_family(fiber: GradedComplex, m: int, transport=None):
+    """Family with m copies of one fiber and a fixed transport."""
+    if transport is None:
+        transport = np.eye(fiber.total_rank, dtype=complex)
+    fibers = [
+        GradedComplex(fiber.ranks, [d.copy() for d in fiber.diffs],
+                      [g.copy() for g in fiber.metrics])
+        for _ in range(m)
+    ]
+    return SuperconnectionFamily(fibers, [np.array(transport, dtype=complex)] * m)
+
+
+def circle_fiber_complex(n_fiber, twist=0.0, harmonic_scale=(1.0, 1.0)):
+    """De Rham complex of a discretized circle fiber as a graded complex.
+
+    n_fiber nodes; the wrap-around edge of the difference operator carries
+    e^{i twist}. harmonic_scale = (c0, c1) rescales the metric on the
+    identity-metric harmonic representatives in degrees 0 and 1 (only
+    meaningful for twist = 0 mod 2 pi, where harmonics exist).
+    """
+    nf = int(n_fiber)
+    h = 2.0 * np.pi / nf
+    d = np.zeros((nf, nf), dtype=complex)
+    for i in range(nf):
+        d[i, i] = -1.0 / h
+        d[i, (i + 1) % nf] = (np.exp(1j * twist) if i == nf - 1 else 1.0) / h
+    g0 = np.eye(nf, dtype=complex)
+    g1 = np.eye(nf, dtype=complex)
+    c0, c1 = harmonic_scale
+    if abs(np.exp(1j * twist) - 1.0) < 1e-12:
+        e0 = np.full(nf, 1.0 / np.sqrt(nf), dtype=complex)  # constants
+        g0 = g0 + (c0 - 1.0) * np.outer(e0, e0.conj())
+        # harmonic 1-cochain for the identity metric: kernel of d^H
+        w, vecs = np.linalg.eigh(d @ d.conj().T)
+        e1 = vecs[:, 0]
+        g1 = g1 + (c1 - 1.0) * np.outer(e1, e1.conj())
+    return GradedComplex((nf, nf), [d], [g0, g1])
+
+
+def circle_fiber_family(m, n_fiber, fiber_twist=0.0, base_twist=0.0,
+                        harmonic_scale_profile=None):
+    """Trivial circle-fiber family over an m-sample base circle.
+
+    harmonic_scale_profile(theta) -> (c0, c1) varies the metric on the
+    harmonic part of the fiber complex with the base point; base_twist is
+    a unitary scalar holonomy distributed evenly over the edges.
+    """
+    fibers = []
+    for j in range(m):
+        theta = 2.0 * np.pi * j / m
+        hs = (1.0, 1.0) if harmonic_scale_profile is None else harmonic_scale_profile(theta)
+        fibers.append(circle_fiber_complex(n_fiber, twist=fiber_twist, harmonic_scale=hs))
+    p = np.exp(1j * base_twist / m) * np.eye(2 * n_fiber, dtype=complex)
+    return SuperconnectionFamily(fibers, [p.copy() for _ in range(m)])
 
 
 def _min_nonzero_eig(c):
@@ -205,27 +267,63 @@ def harmonic_connection_form_per_fiber(fam):
 
 
 # ---------------------------------------------------------------------------
-# the exact-sigma_max kernel floor of the Witten factor: an oracle for the
-# norm floor of torsionlab.witten1d._factor_svals
+# the band route of the Witten factor: eig_banded on the Golub-Kahan matrix
+# after reverse Cuthill-McKee, an oracle for the secular solve of the cyclic
+# factor and for the direct band of the bidiagonal one in
+# torsionlab.witten1d._factor_svals
 # ---------------------------------------------------------------------------
 
-def factor_svals_exact_floor(b, want):
-    """witten1d._factor_svals with the floor 64 eps * max(sigma_max, 1),
-    sigma_max taken by a second index-selected eig_banded solve of the
-    Golub-Kahan band; the window rule is the same."""
-    band = _golub_kahan_band(b)
-    n, rank = band.shape[1], min(b.shape)
+def golub_kahan_band(b):
+    """Lower band storage of the Golub-Kahan matrix [[0, B], [B^H, 0]]
+    after a reverse Cuthill-McKee reordering: bandwidth 1 (the
+    zero-diagonal tridiagonal) for a bidiagonal B, 2 for a cyclic one."""
+    gk = sp.bmat([[None, b], [b.conj().T, None]], format="csr")
+    perm = scipy.sparse.csgraph.reverse_cuthill_mckee(gk, symmetric_mode=True)
+    gk = gk[perm][:, perm].tocoo()
+    lower = gk.row >= gk.col
+    i, j = gk.row[lower], gk.col[lower]
+    band = np.zeros((int((i - j).max()) + 1, gk.shape[0]), dtype=gk.dtype)
+    band[i - j, j] = gk.data[lower]
+    return band
 
-    def eigs(lo, hi):
-        return scipy.linalg.eig_banded(band, lower=True, eigvals_only=True,
-                                       select="i", select_range=(lo, hi))
 
-    floor = 64 * np.finfo(float).eps * max(eigs(n - 1, n - 1)[0], 1.0)
+def _band_windows(b, want, floor, band=None):
+    """Index-selected eig_banded windows of `want` lowest singular values,
+    widened until one passes the floor, as witten1d._factor_svals takes
+    them on a bidiagonal factor."""
+    band = golub_kahan_band(b) if band is None else band
+    lo, rank = max(b.shape), min(b.shape)
     while True:
-        svals = np.sort(np.abs(eigs(n - rank, n - rank + want - 1)))
+        svals = np.sort(np.abs(scipy.linalg.eig_banded(
+            band, lower=True, eigvals_only=True, select="i", select_range=(lo, lo + want - 1))))
         if want == rank or svals[-1] > floor:
             return svals, floor
         want = min(rank, 2 * want)
+
+
+def factor_svals_band_oracle(b, want):
+    """witten1d._factor_svals by band bisection for every factor, circles
+    included: the route of the cyclic factor before the secular solve,
+    with the same floor 64 eps * max(||GK||_inf, 1)."""
+    norm = max(spla.norm(b, 1), spla.norm(b, np.inf))
+    return _band_windows(b, want, 64 * np.finfo(float).eps * max(norm, 1.0))
+
+
+def band_sigma_max(band):
+    """The largest eigenvalue of the Golub-Kahan band, sigma_max of B, by
+    one index-selected eig_banded solve."""
+    n = band.shape[1]
+    return scipy.linalg.eig_banded(band, lower=True, eigvals_only=True, select="i",
+                                   select_range=(n - 1, n - 1))[0]
+
+
+def factor_svals_exact_floor(b, want):
+    """witten1d._factor_svals by band bisection with the floor
+    64 eps * max(sigma_max, 1), sigma_max taken by a second index-selected
+    eig_banded solve of the Golub-Kahan band; the window rule is the same."""
+    band = golub_kahan_band(b)
+    return _band_windows(b, want, 64 * np.finfo(float).eps * max(band_sigma_max(band), 1.0),
+                         band)
 
 
 # ---------------------------------------------------------------------------
