@@ -179,6 +179,8 @@ def run_small_eig(p):
     from .acceptance import _cos2
     from .witten1d import small_eigenvalue_scan
 
+    if not p["T_step"] > 0:
+        raise ValueError(f"T_step must be positive, got {p['T_step']}")
     ladder = list(np.arange(p["T_min"], p["T_max"] + 0.5 * p["T_step"], p["T_step"]))
     out = small_eigenvalue_scan(_cos2(p["amplitude"]), ladder)
     r = out[1]

@@ -10,11 +10,12 @@ assembled operator K is solved by shift-invert Lanczos at every size, with
 absolute error of order eps * ||K||, a relative error of eps * sigma_max^2
 / lambda for a small eigenvalue lambda = sigma^2. The singular values of B are
 eigenvalues of GK = [[0, B], [B^H, 0]]. On an interval piece B is
-bidiagonal, GK a zero-diagonal tridiagonal, and bisection gives every
-singular value to a few eps relative, however small (Demmel and Kahan,
-Accurate singular values of bidiagonal matrices, 1990). On the circle B is
-cyclic, and each value is the root of a bordered secular equation, O(n) per
-value, to about eps * sigma_max absolute (values below that are noise).
+bidiagonal, GK a zero-diagonal tridiagonal path in B's own order, and
+bisection (LAPACK stebz) gives every singular value to a few eps relative,
+however small (Demmel and Kahan, Accurate singular values of bidiagonal
+matrices, 1990). On the circle B is cyclic, and each value is the root of a
+bordered secular equation, bracketed by the same bisection on a path, O(n)
+per value, to about eps * sigma_max absolute (values below that are noise).
 Both claims are checked against 50-digit mpmath oracles in the tests. A
 factor whose rank exceeds dense_limit is solved instead by shift-invert
 Lanczos on its rank-sized Gram operator, to eps * ||op|| absolute; that
@@ -61,6 +62,7 @@ __all__ = [
 
 SMOOTH_FRAC = 1e-4
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
 
 
 @dataclass
@@ -175,6 +177,8 @@ class WittenProblem1D:
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.fp = np.asarray(self.fp, dtype=float)
         self.fpp = np.asarray(self.fpp, dtype=float)
+        if self.n_nodes < 3:
+            raise ValueError(f"need at least 3 nodes, got {self.n_nodes}")
         h = self.h
         resolve = 0.1 / (self.T * np.abs(self.fp).max() + 1.0)
         if h > resolve * (1 + 1e-12):
@@ -324,26 +328,14 @@ def assemble_factor(problem: WittenProblem1D):
     'relative' factor restricts to interior nodes.
     """
     h = problem.h
-    T = problem.T
     n = problem.n_nodes
-    if problem.topology == "circle":
-        mids = 0.5 * (problem.fp + np.roll(problem.fp, -1))
-        dF = T * mids * h
-        i = np.arange(n)
-        rows = np.concatenate([i, i])
-        cols = np.concatenate([i, (i + 1) % n])
-        data = np.concatenate([-np.exp(-0.5 * dF) / h, np.exp(0.5 * dF) / h])
-        return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    mids = 0.5 * (problem.fp[:-1] + problem.fp[1:])
-    dF = T * mids * h
-    i = np.arange(n - 1)
-    rows = np.concatenate([i, i])
-    cols = np.concatenate([i, i + 1])
+    i = np.arange(n if problem.topology == "circle" else n - 1)
+    j = (i + 1) % n
+    dF = problem.T * (0.5 * (problem.fp[i] + problem.fp[j])) * h
     data = np.concatenate([-np.exp(-0.5 * dF) / h, np.exp(0.5 * dF) / h])
-    b = sp.coo_matrix((data, (rows, cols)), shape=(n - 1, n)).tocsr()
-    if problem.bc == "relative":
-        b = b[:, 1:-1]
-    return b
+    b = sp.coo_matrix((data, (np.concatenate([i, i]), np.concatenate([i, j]))),
+                      shape=(len(i), n)).tocsr()
+    return b[:, 1:-1] if problem.bc == "relative" else b
 
 
 def factor_spectrum(problem: WittenProblem1D, k=None, dense_limit=1800):
@@ -399,30 +391,31 @@ def _factor_svals(b, want):
     floor 64 eps * max(||GK||_inf, 1), at or below which they count as zero:
     ||GK||_inf = max(||B||_1, ||B||_inf) is in [sigma_max, sqrt(2) sigma_max],
     B having at most two entries per row and column. A square (circle) B is
-    cyclic (_cyclic_svals). A bidiagonal (interval) B takes index-selected
-    bisection (LAPACK sbevx) on GK, the zero-diagonal tridiagonal band of
-    B's two diagonals interleaved, once per window of `want` values, widened
-    until it passes the floor: no kernel value is left out. The band runs
-    the way reverse Cuthill-McKee ordered it, from the end opposite the
-    first degree-1 node in np.argsort of the node degrees, bit for bit.
+    cyclic (_cyclic_svals). A bidiagonal (interval) B's values are
+    eigenvalues of GK, the zero-diagonal path of B's two diagonals
+    interleaved in B's own order, by bisection to 2 * tiny absolute
+    (_path_eigvals), once per window of `want` values, widened until it
+    passes the floor: no kernel value is left out.
     """
     norm = max(spla.norm(b, 1), spla.norm(b, np.inf))
     floor = 64 * EPS * max(norm, 1.0)
     (rows, cols), lo, rank = b.shape, max(b.shape), min(b.shape)
     if rows == cols:
         return _cyclic_svals(b, want, floor, norm), floor
-    band = np.zeros((2, rows + cols))
-    band[1, 0:-1:2], band[1, 1:-1:2] = b.diagonal(), b.diagonal(1 if rows < cols else -1)
-    ends = [rows, rows + cols - 1] if rows < cols else [0, rows - 1]
-    degrees = np.where(np.isin(np.arange(rows + cols), ends), 1, 2)
-    if np.argsort(degrees)[0] != ends[1]:
-        band[1, :-1] = band[1, -2::-1]
+    off = np.stack([b.diagonal(), b.diagonal(1 if rows < cols else -1)], axis=1).ravel()
     while True:
-        svals = np.sort(np.abs(scipy.linalg.eig_banded(
-            band, lower=True, eigvals_only=True, select="i", select_range=(lo, lo + want - 1))))
+        svals = np.sort(np.abs(_path_eigvals(off, lo, lo + want - 1, 2 * TINY)))
         if want == rank or svals[-1] > floor:
             return svals, floor
         want = min(rank, 2 * want)
+
+
+def _path_eigvals(off, lo, hi, tol=0.0):
+    """Eigenvalues lo..hi (ascending, counted from 0) of the zero-diagonal
+    symmetric tridiagonal with off-diagonal `off`, by LAPACK stebz
+    bisection to absolute tolerance tol (tol <= 0: eps * its 1-norm)."""
+    return scipy.linalg.eigh_tridiagonal(np.zeros(len(off) + 1), off, eigvals_only=True,
+                                         select="i", select_range=(lo, hi), tol=tol)
 
 
 def _cyclic_svals(b, want, floor, norm):
@@ -432,7 +425,7 @@ def _cyclic_svals(b, want, floor, norm):
     without the column node y_0 is the zero-diagonal path P (x_0, y_1, x_1,
     ..., x_{n-1}) with border u = B[0, 0] e_first + B[n-1, 0] e_last. By
     interlacing sigma_j lies in [mu_{n-1+j}, mu_{n+j}] of P's symmetric
-    spectrum (mu_{n-1} = 0; LAPACK stebz) as the root of
+    spectrum (mu_{n-1} = 0; _path_eigvals) as the root of
     s(x) = -x - u^T (P - x)^{-1} u, and one dgtsv solve, with no BLAS call,
     gives s and s' = -1 - ||(P - x)^{-1} u||^2. By Haynsworth's inertia
     formula GK has as many eigenvalues below x as P, plus one if s(x) < 0,
@@ -441,9 +434,7 @@ def _cyclic_svals(b, want, floor, norm):
     np.linalg.LinAlgError."""
     n = b.shape[0]
     off = np.stack([b.diagonal(1), b.diagonal()[1:]], axis=1).ravel()
-    mu = [0.0, *scipy.linalg.eigh_tridiagonal(
-        np.zeros(2 * n - 1), off, eigvals_only=True, select="i",
-        select_range=(n, n - 2 + min(want + 1, n))).tolist(), norm]
+    mu = [0.0, *_path_eigvals(off, n, n - 2 + min(want + 1, n)).tolist(), norm]
     if want < n and mu[want] < floor:
         return _cyclic_svals(b, min(n, 2 * want), floor, norm)
     u = np.concatenate([[b[0, 0]], np.zeros(2 * n - 3), [b[n - 1, 0]]])
@@ -606,7 +597,7 @@ def factor_eigenpairs(problem: WittenProblem1D, k):
                                                    problem.form_degree)
     w, vecs = spla.eigsh(op, k=min(op.shape[0] - 2, k + 2), sigma=shift,
                          which="LM", v0=v0, OPinv=opinv)
-    order = np.argsort(w)[:k]
+    order = sorted(range(len(w)), key=w.__getitem__)[:k]  # stable: no CPU-dependent ties
     w, vecs = w[order], vecs[:, order]
     w[np.abs(w) < clamp] = 0.0
     residuals = _checked_residuals(op, w, vecs)
@@ -637,7 +628,7 @@ def spectrum(problem: WittenProblem1D, k):
     shift = -1e-3 * max(1.0, np.abs(mat.diagonal()).max() / n)
     v0 = np.full(n, 1.0 / np.sqrt(n))
     w, vecs = spla.eigsh(mat, k=k, sigma=shift, which="LM", v0=v0)
-    order = np.argsort(w)
+    order = sorted(range(len(w)), key=w.__getitem__)  # stable: no CPU-dependent ties
     w, vecs = w[order], vecs[:, order]
     _checked_residuals(mat, w, vecs)
     kernel_tol = max(1e-8, 2e-6 * max(np.abs(w).max(), 1.0))
@@ -779,21 +770,25 @@ def small_eigenvalue_scan(f_triple, T_ladder, k_branches=1, n_nodes=None, underf
     """Fit the exponential decay of the tunneling branch against the Agmon
     prediction.
 
-    For each T the factorized circle operator provides the sub-cluster
-    eigenvalues; branches are followed by index. The prediction is
-    -2 * (Agmon distance at T=1 from the well set to the nearest separating
-    ridge), the quantity controlling the squared singular value of the
-    deformed differential between well states.
+    For each T the circle factor's secular solve (_factor_svals, error
+    eps * sigma_max in sigma) provides the sub-cluster eigenvalues sigma^2
+    above its kernel, the constants; branches are followed by index. The
+    prediction is -2 * (Agmon distance at T=1 from the well set to the
+    nearest separating ridge), the quantity controlling the squared singular
+    value of the deformed differential between well states. The log-linear
+    fit needs a ladder of at least 3 values.
     """
+    if len(T_ladder) < 3:
+        raise ValueError(f"need a T ladder of at least 3 values, got {len(T_ladder)}")
     lam_branches = {j: [] for j in range(1, k_branches + 1)}
     ts_used = {j: [] for j in range(1, k_branches + 1)}
     for T in T_ladder:
         prob = circle_problem(f_triple, T, n_nodes=n_nodes, form_degree=0)
-        # the branch values are exponentially small: force the secular solve
-        # (error eps * sigma_max in sigma, not eps * ||op|| in lambda); the
-        # circle's kernel is the constants, one value below the branches
-        lam, kernel = factor_spectrum(prob, k=k_branches + 1, dense_limit=6000)
-        nonzero = lam[lam > 0]
+        # a window that held only kernel values comes back widened: its
+        # extra values are the continuum, not a branch
+        svals, floor = _factor_svals(assemble_factor(prob), k_branches + 1)
+        svals = svals[: k_branches + 1]
+        nonzero = svals[svals > floor] ** 2
         for j in range(1, k_branches + 1):
             if j - 1 < len(nonzero):
                 val = nonzero[j - 1]

@@ -148,6 +148,22 @@ def test_cubic_experiment(tmp_path):
         assert abs(pair[0] - pair[1]) <= 0.01 * max(1e-9, abs(pair[0]))
 
 
+def test_degenerate_grid_and_ladder_exit_2(tmp_path, capsys):
+    # a Witten grid needs 3 nodes (at 2 the circle's corner entry lands on
+    # the off-diagonal); the small-eig ladder needs a positive step and the
+    # 3 values of its log fit
+    for args, message in ((["cubic", "--n_nodes", "1"], "at least 3 nodes"),
+                          (["cubic", "--n_nodes", "2"], "at least 3 nodes"),
+                          (["small-eig", "--T_step", "0"], "T_step must be positive"),
+                          (["small-eig", "--T_step", "-10"], "T_step must be positive"),
+                          (["small-eig", "--T_max", "10"], "at least 3 values"),
+                          (["small-eig", "--T_max", "35"], "at least 3 values")):
+        out = tmp_path / "".join(args)
+        assert run_cli(["run", *args, "--output-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_numerical_failure_exits_3(tmp_path):
     # an unconverged torsion-form tail is a numerical failure, not a
     # configuration problem

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -168,7 +172,7 @@ def test_factor_solvers_refuse_k_below_one():
 def test_factor_susy_pairing_exact():
     prob0 = W.circle_problem(cos2(0.1), T=20.0, form_degree=0)
     prob1 = W.circle_problem(cos2(0.1), T=20.0, form_degree=1)
-    # band bisection, then shift-invert Lanczos: one solve of the factor
+    # the secular solve, then shift-invert Lanczos: one solve of the factor
     # serves both degrees on either path
     for dense_limit in (1800, 0):
         l0, k0 = W.factor_spectrum(prob0, k=6, dense_limit=dense_limit)
@@ -189,7 +193,7 @@ def test_gluing_scan_converges():
         for r0, r1 in zip(rows, rows[1:]):
             assert (r1["gaps"] <= np.maximum(r0["gaps"], tol)).all()
         assert final["cluster_count"] == final["kernel_sum"]
-    # both degrees read one solve per factor, on the band and the sparse
+    # both degrees read one solve per factor, on the bisection and the sparse
     # rungs: the circle's values agree bit for bit, and so do the pieces'
     # once their structural zeros are padded in
     for r0, r1 in zip(out[0], out[1]):
@@ -217,6 +221,8 @@ def test_small_eigenvalue_scan_truncates_underflow():
     out = W.small_eigenvalue_scan(cos2(0.35), [20, 30, 40, 50], k_branches=1)
     r = out[1]
     assert len(r["T"]) < 4  # deep wells underflow at large T
+    # below the kernel floor the branch is gone: no continuum value stands in
+    assert list(r["T"]) == [20] and (r["lambda"] < 1e-8).all()
 
 
 def test_scan_degenerate_pair():
@@ -341,8 +347,8 @@ def test_gluing_scan_matches_per_degree_factor_spectrum():
     for deg in (0, 1):
         for A, row in zip(ladder, out[deg]):
             full, piece_abs, piece_rel = _glue_problems(f_triple, T, A, r, n_nodes, deg)
-            # the ladder crosses the band/sparse switch (rank 1800): the
-            # circle is sparse, and both pieces are banded in both degrees,
+            # the ladder crosses the bisection/sparse switch (rank 1800): the
+            # circle is sparse, and both pieces are bisected in both degrees,
             # the absolute one at rank exactly 1800
             assert W.assemble_factor(piece_abs).shape == (1800, 1801)
             lam, _ = W.factor_spectrum(full, k=k)
@@ -406,7 +412,7 @@ def test_gluing_scan_one_band_solve_per_factor_and_rung(monkeypatch):
     ladder = [1.0, 2.0, 4.0]
     W.gluing_scan(cos2(0.05), T=10.0, A_ladder=ladder, interface_r=0.12, k=7,
                   n_nodes=480)
-    # full circle, absolute and relative piece, each banded in both degrees,
+    # full circle, absolute and relative piece, each solved once for both degrees,
     # each with the window k + 2
     assert len(calls) == 3 * len(ladder)
     assert len({shape for shape, _ in calls}) == 3
@@ -580,28 +586,28 @@ def test_factor_floor_norm_within_sqrt2_of_sigma_max():
 
 def test_factor_svals_one_band_reduction_per_window(monkeypatch):
     windows, solves = [], []
-    eig_banded = scipy.linalg.eig_banded
+    path_eigvals = W._path_eigvals
     solve = W._factor_svals
 
-    def counting_eig_banded(*args, **kwargs):
-        windows.append(kwargs["select_range"])
-        return eig_banded(*args, **kwargs)
+    def counting_path(off, lo, hi, tol=0.0):
+        windows.append((lo, hi))
+        return path_eigvals(off, lo, hi, tol)
 
     def counting_solve(b, want):
-        if b.shape[0] != b.shape[1]:
-            solves.append(want)
+        solves.append(want)
         return solve(b, want)
 
-    monkeypatch.setattr(W.scipy.linalg, "eig_banded", counting_eig_banded)
+    monkeypatch.setattr(W, "_path_eigvals", counting_path)
     monkeypatch.setattr(W, "_factor_svals", counting_solve)
     W.gluing_scan(cos2(0.05), T=10.0, A_ladder=[1.0, 2.0], interface_r=0.12, k=7,
                   n_nodes=480)
     W.small_eigenvalue_scan(cos2(0.1), [20, 30, 40])
-    # the interval pieces: the first window of every solve already reaches
-    # past the floor; the circles take the secular solve and no band
-    assert len(solves) == 4 and len(windows) == len(solves)
+    # one stebz window of `want` values per solve: the first window of every
+    # interval piece already reaches past the floor, and so does the
+    # bracket window of every circle
+    assert len(solves) == 9 and len(windows) == len(solves)
     assert [hi - lo + 1 for lo, hi in windows] == solves
-    # a window that holds only kernel values widens, one reduction per window
+    # a window that holds only kernel values widens, one stebz call per window
     windows.clear()
     diag = np.concatenate([np.zeros(12), np.linspace(1.0, 2.0, 50)])
     solve(sp.diags(diag, 0, shape=(62, 63), format="csr"), 4)
@@ -611,9 +617,9 @@ def test_factor_svals_one_band_reduction_per_window(monkeypatch):
 def test_factor_svals_match_exact_sigma_max_floor(monkeypatch):
     # oracle: the floor from an exact sigma_max solve (tests/util.py); no
     # singular value lies between the two floors, so on the interval pieces
-    # values, windows and kernels agree bit for bit; the circles take the
-    # secular solve and are held to the band route within 8 eps sigma_max,
-    # with equal kernels
+    # values, windows and kernels agree bit for bit with eig_banded (LAPACK
+    # sbevx) on B's own-order band; the circles take the secular solve and
+    # are held to the band route within 8 eps sigma_max, with equal kernels
     solve = W._factor_svals
     shapes = []
 
@@ -630,7 +636,7 @@ def test_factor_svals_match_exact_sigma_max_floor(monkeypatch):
         return svals, floor
 
     monkeypatch.setattr(W, "_factor_svals", checked)
-    # benchmark-like: the gluing ladder's band rungs at T=40 and circles of
+    # benchmark-like: the gluing ladder's bisection rungs at T=40 and circles of
     # factor_spectrum across its amplitude and T ranges
     for amp in (0.04, 0.06):
         W.gluing_scan(cos2(amp), T=40.0, A_ladder=[1.0, 4.0, 16.0], interface_r=0.12, k=7)
@@ -638,8 +644,7 @@ def test_factor_svals_match_exact_sigma_max_floor(monkeypatch):
         for deg in (0, 1):
             W.factor_spectrum(W.circle_problem(cos2(amp), T, form_degree=deg), k=8)
     # the gluing ladders and small-eigenvalue scans of the tests above, and
-    # the A = 2 rung at T = 40, whose 688 x 689 absolute piece reverse
-    # Cuthill-McKee orders from its other end (the band follows it)
+    # the A = 2 rung at T = 40 (a 688 x 689 absolute piece)
     W.gluing_scan(cos2(0.05), T=10.0, A_ladder=[1.0, 2.0, 4.0], interface_r=0.12, k=7,
                   n_nodes=480)
     W.gluing_scan(cos2(0.05), T=40.0, A_ladder=[2.0], interface_r=0.12, k=7)
@@ -797,6 +802,40 @@ def _assert_matches_band_oracle(b, svals, floor):
         if abs(svals[j] - ref[j]) > tol:
             exact = _mp_circle_singular_value(b, j, svals[j])
             assert abs(svals[j] - exact) <= tol / 8 < abs(ref[j] - exact), (j, svals[j], ref[j])
+
+
+def test_small_eig_default_ladder_sigma1_against_mpmath():
+    # sigma_1 of the default small-eig ladder (cos2(0.1), T = 20..80), from
+    # the window of k_branches + 1 = 2 values the scan asks for, within
+    # eps sigma_max of the 40-digit value (measured worst 0.43)
+    ladder = list(range(20, 81, 10))
+    out = W.small_eigenvalue_scan(cos2(0.1), ladder)[1]
+    assert list(out["T"]) == ladder
+    for T, lam in zip(ladder, out["lambda"]):
+        b = W.assemble_factor(W.circle_problem(cos2(0.1), T))
+        sigma = W._factor_svals(b, 2)[0][1]
+        assert sigma**2 == lam
+        sigma_max = band_sigma_max(golub_kahan_band(b))
+        assert abs(sigma - _mp_circle_singular_value(b, 1, sigma)) <= EPS * sigma_max, T
+
+
+def test_interval_factor_svals_independent_of_numpy_cpu_dispatch(tmp_path):
+    # the A = 1 absolute piece of the default witten-glue config, solved
+    # again in a child whose numpy dispatches no AVX2 or AVX-512 kernels,
+    # gives the same bytes
+    b = W.assemble_factor(_glue_problems(cos2(0.05), 40.0, 1.0, 0.12, None, 0)[1])
+    assert b.shape == (461, 462)
+    sp.save_npz(tmp_path / "b.npz", b)
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(W.__file__))}
+    if subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                      capture_output=True).returncode != 0:
+        pytest.skip("numpy does not start with those CPU features disabled")
+    code = ("import sys, scipy.sparse as sp; from torsionlab.witten1d import _factor_svals; "
+            "print(_factor_svals(sp.load_npz(sys.argv[1]), 9)[0].tobytes().hex())")
+    child = subprocess.run([sys.executable, "-c", code, str(tmp_path / "b.npz")], env=env,
+                           check=True, capture_output=True, text=True).stdout
+    assert bytes.fromhex(child.strip()) == W._factor_svals(b, 9)[0].tobytes()
 
 
 def _circle_factors():

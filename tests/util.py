@@ -267,16 +267,22 @@ def harmonic_connection_form_per_fiber(fam):
 
 
 # ---------------------------------------------------------------------------
-# the band route of the Witten factor: eig_banded on the Golub-Kahan matrix
-# after reverse Cuthill-McKee, an oracle for the secular solve of the cyclic
-# factor and for the direct band of the bidiagonal one in
-# torsionlab.witten1d._factor_svals
+# the band route of the Witten factor: eig_banded (LAPACK sbevx) on the
+# Golub-Kahan matrix, an oracle for the stebz path of the bidiagonal factor
+# and, after reverse Cuthill-McKee, for the secular solve of the cyclic one
+# in torsionlab.witten1d._factor_svals
 # ---------------------------------------------------------------------------
 
 def golub_kahan_band(b):
-    """Lower band storage of the Golub-Kahan matrix [[0, B], [B^H, 0]]
-    after a reverse Cuthill-McKee reordering: bandwidth 1 (the
-    zero-diagonal tridiagonal) for a bidiagonal B, 2 for a cyclic one."""
+    """Lower band storage of the Golub-Kahan matrix [[0, B], [B^H, 0]]: for
+    a bidiagonal B the zero-diagonal tridiagonal of B's two diagonals
+    interleaved in B's own order (bandwidth 1), for a cyclic one its
+    reverse Cuthill-McKee reordering (bandwidth 2)."""
+    rows, cols = b.shape
+    if rows != cols:
+        band = np.zeros((2, rows + cols))
+        band[1, 0:-1:2], band[1, 1:-1:2] = b.diagonal(), b.diagonal(1 if rows < cols else -1)
+        return band
     gk = sp.bmat([[None, b], [b.conj().T, None]], format="csr")
     perm = scipy.sparse.csgraph.reverse_cuthill_mckee(gk, symmetric_mode=True)
     gk = gk[perm][:, perm].tocoo()
