@@ -184,6 +184,10 @@ def run_small_eig(p):
     ladder = list(np.arange(p["T_min"], p["T_max"] + 0.5 * p["T_step"], p["T_step"]))
     out = small_eigenvalue_scan(_cos2(p["amplitude"]), ladder)
     r = out[1]
+    if len(r["T"]) < 3:
+        # too few values for the log fit: its slope would be NaN, not JSON
+        raise RuntimeError(f"only {len(r['T'])} of {len(ladder)} T values survive the "
+                           "underflow cut; the slope fit needs 3")
     rows = [(float(t), float(l)) for t, l in zip(r["T"], r["lambda"])]
     header = ["t", "lambda"]
     return rows, header, {"slope": r["slope"], "prediction": r["prediction"],

@@ -349,11 +349,11 @@ def factor_spectrum(problem: WittenProblem1D, k=None, dense_limit=1800):
     interval piece, to about eps * sigma_max absolute on the circle, zero at
     or below 64 eps * max(||GK||_inf, 1), within sqrt(2) of
     64 eps * max(sigma_max, 1). Larger factors take shift-invert Lanczos on
-    the rank-sized Gram operator, solved by tridiagonal LDL^T
-    (_shift_inverse), to eps * ||op|| absolute, its values below the
-    roundoff floor 30 eps * ||op|| clamped to zero. The k lowest eigenvalues
-    are returned with the kernel dimension; with k=None at most 10. k < 1
-    is refused.
+    the rank-sized Gram operator at the shift -1e-8 ||op||, solved by
+    tridiagonal LDL^T (_shift_inverse), to eps * ||op|| absolute, its values
+    below the roundoff floor 30 eps * ||op|| clamped to zero. Either route
+    computes only the values it returns: the k lowest eigenvalues, with the
+    kernel dimension; with k=None at most 10. k < 1 is refused.
     """
     return _factor_spectra(problem, k, dense_limit)[problem.form_degree]
 
@@ -363,17 +363,19 @@ def _factor_spectra(problem: WittenProblem1D, k=None, dense_limit=1800):
 
     B does not depend on the form degree, and B^H B and B B^H share the
     squares of its rank = min(B.shape) singular values; they differ only
-    in their dim - rank structural zeros. So B is solved once: by
-    _factor_svals when rank <= dense_limit, else by one shift-invert eigsh
-    on the Gram operator of size rank, the one with no structural kernel,
-    whose OPinv is the tridiagonal LDL^T solve of _factor_operator.
+    in their dim - rank structural zeros. So B is solved once, for the
+    _count(k) values returned (the structural zeros only shorten what a
+    degree reads): by _factor_svals when rank <= dense_limit, else by one
+    shift-invert eigsh on the Gram operator of size rank, the one with no
+    structural kernel, at the shift -1e-8 ||op|| and with the tridiagonal
+    LDL^T solve of _factor_operator as its OPinv.
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     b = assemble_factor(problem)
     rows, cols = b.shape
     rank = min(rows, cols)
-    want = (k or 8) + 2
+    want = _count(k)
     if rank <= dense_limit:
         svals, floor = _factor_svals(b, min(rank, want))
         lam, n_zero = svals**2, int((svals <= floor).sum())
@@ -507,15 +509,18 @@ def _count(k):
 
 def _factor_operator(b, form_degree):
     """Shift-invert setup for the factor Laplacian: the operator B^H B
-    (degree 0) or B B^H (degree 1), the shift -1e-6 ||op||, the roundoff
+    (degree 0) or B B^H (degree 1), the shift -1e-8 ||op||, the roundoff
     floor 30 eps ||op|| below which its eigenvalues are zero (||op||
     estimated as 2 max|diag|), the fixed start vector and the OPinv of
     eigsh, a tridiagonal LDL^T solve of op - shift I (_shift_inverse):
     op is positive semi-definite by construction, so the negative shift
-    makes op - shift I positive definite."""
+    makes op - shift I positive definite. The shift is about 4.5e7 times
+    the rounding floor eps ||op|| of that LDL^T, so it stays definite, and
+    near enough to the wanted values (0 to O(10)) that their images
+    1 / (lambda - shift) stand apart for ARPACK."""
     op = (b.conj().T @ b) if form_degree == 0 else (b @ b.conj().T)
     norm_est = float(np.abs(op.diagonal()).max()) * 2.0
-    shift = -1e-6 * norm_est
+    shift = -1e-8 * norm_est
     v0 = np.full(op.shape[0], 1.0 / np.sqrt(op.shape[0]))
     return (op, shift, 30.0 * np.finfo(float).eps * norm_est, v0,
             _shift_inverse(op, shift))
@@ -586,7 +591,8 @@ def _checked_residuals(op, w, vecs):
 def factor_eigenpairs(problem: WittenProblem1D, k):
     """Lowest k eigenpairs of the factor Laplacian B^H B (degree 0) or
     B B^H (degree 1), by the shift-invert Lanczos of factor_spectrum's
-    large factors (_factor_operator), with vectors: eigenvalues to
+    large factors (_factor_operator, shift -1e-8 ||op||), with vectors,
+    from a window of k + 2 of which the lowest k are kept: eigenvalues to
     eps * ||op|| absolute, those below 30 eps ||op|| clamped to zero.
     Residuals ||op v - lambda v|| are checked at 1e-8 max(1, |lambda|), the
     gate of spectrum(); metadata['residuals'] holds them. k < 1 is refused.

@@ -211,6 +211,27 @@ def test_singular_secular_solve_exits_3(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_small_eig_underflowed_ladder_exits_3(tmp_path, capsys):
+    # at amplitude 0.35 the underflow cut leaves only T = 20 of the seven T
+    # values: the log fit has no slope, a numerical failure, and no
+    # result.json with a NaN slope is written
+    out = tmp_path / "uf"
+    assert run_cli(["run", "small-eig", "--amplitude", "0.35", "--output-dir", str(out)]) == 3
+    assert "only 1 of 7 T values survive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_small_eig_result_json_is_strict_json(tmp_path):
+    # NaN and Infinity are not JSON: a strict parser refuses them
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    out = tmp_path / "se"
+    assert run_cli(["run", "small-eig", "--output-dir", str(out)]) == 0
+    extra = json.loads((out / "result.json").read_text(), parse_constant=refuse)
+    assert np.isfinite(extra["slope"])
+
+
 def test_witten_glue_default_config(tmp_path):
     # the README example: the companion table comes from the factored
     # operator B^H B, whose eigenvalues are nonnegative

@@ -413,19 +413,19 @@ def test_gluing_scan_one_band_solve_per_factor_and_rung(monkeypatch):
     W.gluing_scan(cos2(0.05), T=10.0, A_ladder=ladder, interface_r=0.12, k=7,
                   n_nodes=480)
     # full circle, absolute and relative piece, each solved once for both degrees,
-    # each with the window k + 2
+    # each with the window k: bisection gets exactly the indices it asks for
     assert len(calls) == 3 * len(ladder)
     assert len({shape for shape, _ in calls}) == 3
-    assert {want for _, want in calls} == {9}
+    assert {want for _, want in calls} == {7}
 
     # the benchmark ladder crosses the switch: each factor of rank above
     # 1800 takes one eigsh on its rank-sized Gram operator instead
-    sizes, opinvs = [], []
+    sizes, eigsh_kwargs = [], []
     eigsh = W.spla.eigsh
 
     def counting_eigsh(op, **kwargs):
         sizes.append(op.shape[0])
-        opinvs.append(kwargs.get("OPinv"))
+        eigsh_kwargs.append((float(np.abs(op.diagonal()).max()), kwargs))
         return eigsh(op, **kwargs)
 
     monkeypatch.setattr(W.spla, "eigsh", counting_eigsh)
@@ -437,9 +437,13 @@ def test_gluing_scan_one_band_solve_per_factor_and_rung(monkeypatch):
     assert sorted(sizes) == sorted(r for r in ranks if r > 1800)
     assert sorted(min(shape) for shape, _ in calls) == sorted(r for r in ranks if r <= 1800)
     assert len(sizes) == 5
-    # and each solves op - shift I by the tridiagonal LDL^T, not by eigsh's
-    # own sparse LU
-    assert all(isinstance(opinv, spla.LinearOperator) for opinv in opinvs)
+    # each asks for exactly k values, at the shift -1e-8 ||op|| (||op||
+    # estimated as 2 max|diag op|), and solves op - shift I by the
+    # tridiagonal LDL^T, not by eigsh's own sparse LU
+    for diag_max, kwargs in eigsh_kwargs:
+        assert kwargs["k"] == 7
+        assert kwargs["sigma"] == -1e-8 * 2 * diag_max
+        assert isinstance(kwargs.get("OPinv"), spla.LinearOperator)
 
 
 def _gram_norm(problem):
@@ -478,6 +482,23 @@ def test_factor_spectra_match_splu_oracle():
                 assert np.abs(lam - lam_ref).max() <= 8 * eps * norm
 
 
+def test_factor_spectra_sparse_route_matches_bisection_route():
+    # the shift-invert route (dense_limit=0) against the bisection route of
+    # _factor_svals at every rank, which takes no shift: equal kernels, and
+    # values within the eps ||op|| class of the Lanczos solve; at k = 1 the
+    # circle's whole window is its kernel
+    eps = np.finfo(float).eps
+    for prob in _sparse_route_problems():
+        norm = _gram_norm(prob)
+        for k in (1, 7, 8, None):
+            sparse = W._factor_spectra(prob, k=k, dense_limit=0)
+            bisected = W._factor_spectra(prob, k=k, dense_limit=10**6)
+            for (lam, kernel), (lam_ref, kernel_ref) in zip(sparse, bisected):
+                assert kernel == kernel_ref
+                assert len(lam) == len(lam_ref) == W._count(k)
+                assert np.abs(lam - lam_ref).max() <= 8 * eps * norm
+
+
 def test_factor_eigenpairs_match_splu_oracle():
     # witten-glue's companion table (the circle at the last rung of its
     # default ladder, k = 6) in both degrees, and the absolute piece
@@ -504,7 +525,7 @@ def test_shift_inverse_backward_error():
         for op in (b.T @ b, b @ b.T):
             n = op.shape[0]
             assert (op[0, n - 1] != 0) == cyclic
-            shift = -2e-6 * np.abs(op.diagonal()).max()
+            shift = -2e-8 * np.abs(op.diagonal()).max()
             mat = op - shift * sp.identity(n)
             norm = np.abs(mat).sum(axis=0).max()
             solve = W._shift_inverse(op, shift)
@@ -527,8 +548,8 @@ def test_shift_inverse_refuses_indefinite_operator():
     for op in (plain, cyclic.tocsr(), bordered.tocsr()):
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
             W._shift_inverse(op, 0.0)
-    # the shift of _factor_operator makes the positive semi-definite
-    # bordered circulant definite
+    # a negative shift, like _factor_operator's, makes the positive
+    # semi-definite bordered circulant definite
     circulant = sp.diags([[2.0] * 3, [-1.0] * 2, [-1.0] * 2], [0, 1, -1], format="lil")
     circulant[0, 2] = circulant[2, 0] = -1.0
     x = W._shift_inverse(circulant.tocsr(), -1e-6).matvec(np.ones(3))
