@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-__all__ = ["CRITERIA", "run_all", "random_complex"]
+__all__ = ["CRITERIA", "run_all", "random_complex", "random_metric", "cos2", "anomaly_family"]
 
 
 def _timed(budget):
@@ -40,7 +40,8 @@ def _timed(budget):
 BD_PARAMS = dict(n=6, i=3, r1=0.04, r2=0.06, delta=0.0015)
 
 
-def _cos2(a):
+def cos2(a):
+    """(f, f', f'') of f(s) = a cos 2s on the circle: two wells, two ridges."""
     return (
         lambda s: a * np.cos(2 * s),
         lambda s: -2 * a * np.sin(2 * s),
@@ -110,16 +111,17 @@ def criterion_2_separation_stability():
 def criterion_3_anomaly_formula():
     from . import forms as F
 
-    fam64 = _anomaly_family(64)
+    fam64 = anomaly_family(64)
     out64 = F.anomaly_check(fam64, tau=1e-3, t_max=80.0, n_t=200)
-    fam128 = _anomaly_family(128)
+    fam128 = anomaly_family(128)
     out128 = F.anomaly_check(fam128, tau=1e-3, t_max=80.0, n_t=400)
     r64, r128 = out64["max_residual"], out128["max_residual"]
     ok = r64 <= 1e-4 and r64 / r128 >= 3.0
     return ok, f"residual(m=64)={r64:.3e}, refinement ratio={r64 / r128:.2f}"
 
 
-def _anomaly_family(m, beta=0.3, amp=0.15):
+def anomaly_family(m, beta=0.3, amp=0.15):
+    """Acyclic rank-(1, 2, 1) flat family on m samples (criterion 3, `run anomaly`)."""
     import scipy.linalg
 
     from .forms import SuperconnectionFamily
@@ -172,7 +174,7 @@ def criterion_5_spectral_gluing():
     from . import witten1d as W
 
     out = W.gluing_scan(
-        _cos2(0.05), T=40.0, A_ladder=[1.0, 4.0, 16.0, 64.0], interface_r=0.12, k=7
+        cos2(0.05), T=40.0, A_ladder=[1.0, 4.0, 16.0, 64.0], interface_r=0.12, k=7
     )
     ok = True
     details = []
@@ -195,7 +197,7 @@ def criterion_5_spectral_gluing():
 def criterion_6_small_eigenvalue_decay():
     from . import witten1d as W
 
-    out = W.small_eigenvalue_scan(_cos2(0.1), list(range(20, 81, 10)))
+    out = W.small_eigenvalue_scan(cos2(0.1), list(range(20, 81, 10)))
     r = out[1]
     rel = abs(r["slope"] - r["prediction"]) / abs(r["prediction"])
     return r["ok"], f"slope {r['slope']:.4f} vs -2*barrier {r['prediction']:.4f} ({rel:.1%})"
@@ -205,7 +207,7 @@ def criterion_6_small_eigenvalue_decay():
 def criterion_7_agmon_decay():
     from . import witten1d as W
 
-    sups = W.agmon_decay_check(_cos2(0.1), [20, 40, 60, 80], b=0.5)
+    sups = W.agmon_decay_check(cos2(0.1), [20, 40, 60, 80], b=0.5)
     spread = float(sups.max() - sups.min())
     return spread <= 2.0, f"sup values {np.round(sups, 3).tolist()}, spread {spread:.2f}"
 

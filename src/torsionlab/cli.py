@@ -85,10 +85,10 @@ def run_torsion(p):
 
 
 def run_anomaly(p):
-    from .acceptance import _anomaly_family
+    from .acceptance import anomaly_family
     from .forms import anomaly_check
 
-    fam = _anomaly_family(p["m"])
+    fam = anomaly_family(p["m"])
     out = anomaly_check(fam, tau=p["tau"], t_max=p["t_max"], n_t=p["n_t"])
     res = out["residual"]
     rows = [(j, float(res[j].real), float(res[j].imag)) for j in range(len(res))]
@@ -121,12 +121,12 @@ def run_birth_death(p):
 def run_witten_glue(p):
     import numpy as np
 
-    from .acceptance import _cos2
+    from .acceptance import cos2
     from .witten1d import (build_p_profile, circle_problem, factor_eigenpairs,
                            gluing_scan)
 
     ladder = _floats(p["A_ladder"])
-    out = gluing_scan(_cos2(p["amplitude"]), T=p["T"], A_ladder=ladder,
+    out = gluing_scan(cos2(p["amplitude"]), T=p["T"], A_ladder=ladder,
                       interface_r=p["r"], k=p["k"])
     rows = []
     for deg in sorted(out):
@@ -144,7 +144,7 @@ def run_witten_glue(p):
     a_top = ladder[-1]
     prof = build_p_profile(a_top, p["r"])
     cuts = (np.pi / 4, 7 * np.pi / 4)
-    prob = circle_problem(_cos2(p["amplitude"]), p["T"], A=a_top,
+    prob = circle_problem(cos2(p["amplitude"]), p["T"], A=a_top,
                           interface=(cuts, p["r"], prof))
     res = factor_eigenpairs(prob, min(p["k"], 6))
     spectra_rows = []
@@ -176,13 +176,13 @@ def run_witten_glue(p):
 def run_small_eig(p):
     import numpy as np
 
-    from .acceptance import _cos2
+    from .acceptance import cos2
     from .witten1d import small_eigenvalue_scan
 
     if not p["T_step"] > 0:
         raise ValueError(f"T_step must be positive, got {p['T_step']}")
     ladder = list(np.arange(p["T_min"], p["T_max"] + 0.5 * p["T_step"], p["T_step"]))
-    out = small_eigenvalue_scan(_cos2(p["amplitude"]), ladder)
+    out = small_eigenvalue_scan(cos2(p["amplitude"]), ladder)
     r = out[1]
     if len(r["T"]) < 3:
         # too few values for the log fit: its slope would be NaN, not JSON
@@ -195,11 +195,11 @@ def run_small_eig(p):
 
 
 def run_agmon(p):
-    from .acceptance import _cos2
+    from .acceptance import cos2
     from .witten1d import agmon_decay_check
 
     ladder = _floats(p["T_list"])
-    sups = agmon_decay_check(_cos2(p["amplitude"]), ladder, b=p["b"])
+    sups = agmon_decay_check(cos2(p["amplitude"]), ladder, b=p["b"])
     rows = [(t, float(s)) for t, s in zip(ladder, sups)]
     header = ["t", "sup_log_u_plus_b_rho"]
     return rows, header, {"spread": float(sups.max() - sups.min())}

@@ -22,12 +22,14 @@ coefficient of dtheta at the edge midpoint. The exterior derivative of a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.integrate
 
-from .graded import (_adj, _euler, _kernel_dims, _laplacian_eigh, _pencil, _spectral_integrand,
-                     euler_chars)
+from .birthdeath import _read_only
+from .graded import (_adj, _euler, _kernel_dims, _laplacian_eigh, _owned, _pencil,
+                     _spectral_integrand, euler_chars)
 
 __all__ = [
     "SuperconnectionFamily",
@@ -66,55 +68,63 @@ class FormOnBase:
     def dS(self):
         """Exterior derivative of the degree-0 part, as a per-edge array."""
         f = self.degree0
-        m = len(f)
-        dtheta = 2.0 * np.pi / m
-        return (np.roll(f, -1) - f) / dtheta
+        return (np.roll(f, -1) - f) / (2.0 * np.pi / len(f))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuperconnectionFamily:
     """Per-sample complexes plus flat transports over a circle base.
 
     fibers[j] is the complex over sample j (identical ranks across j);
     transports[j] is the invertible grading-preserving matrix carrying the
     fiber at j to the fiber at j+1 (mod m), written on the direct sum of
-    all degrees. Every entry of the flatness residual
-    transports[j] v(j) - v(j+1) transports[j] must be at most 1e-9.
+    all degrees, with finite entries. Every entry of the flatness residual
+    transports[j] v(j) - v(j+1) transports[j] must be at most 1e-9 (one
+    batched test over all edges, naming the first that fails). Immutable:
+    fibers and transports are tuples, the transports read-only, and
+    `stacks` is built once, on first use.
     """
 
-    fibers: list
-    transports: list
+    fibers: tuple
+    transports: tuple
 
     def __post_init__(self):
-        m = len(self.fibers)
+        fibers = tuple(self.fibers)
+        m = len(fibers)
         if m < 8:
             raise ValueError("need at least 8 base samples")
         if len(self.transports) != m:
             raise ValueError("need one transport per edge")
-        ranks = self.fibers[0].ranks
-        if any(f.ranks != ranks for f in self.fibers):
+        ranks = fibers[0].ranks
+        if any(f.ranks != ranks for f in fibers):
             raise ValueError("all fibers must share the same ranks")
-        off = self.fibers[0].offsets()
-        N = self.fibers[0].total_rank
-        self.transports = [np.asarray(p, dtype=complex) for p in self.transports]
-        for j, p in enumerate(self.transports):
-            if p.shape != (N, N):
-                raise ValueError(f"transport {j} has wrong shape {p.shape}")
-            for a in range(len(ranks)):
-                for b in range(len(ranks)):
-                    if a == b:
-                        continue
-                    blk = p[off[a] : off[a + 1], off[b] : off[b + 1]]
-                    if blk.size and np.abs(blk).max() > 1e-12:
-                        raise ValueError(f"transport {j} does not preserve grading")
-        for j in range(m):
-            v_j = self.fibers[j].full_differential()
-            v_next = self.fibers[(j + 1) % m].full_differential()
-            res = self.transports[j] @ v_j - v_next @ self.transports[j]
-            if res.size and np.abs(res).max() > 1e-9:
-                raise ValueError(
-                    f"flatness residual {np.abs(res).max():.3e} on edge {j}"
-                )
+        N = fibers[0].total_rank
+        ps = [np.asarray(p, dtype=complex) for p in self.transports]
+        misshapen = np.array([p.shape != (N, N) for p in ps])
+        p = np.stack([np.zeros((N, N)) if wrong else q for wrong, q in zip(misshapen, ps)])
+        degree = np.repeat(np.arange(len(ranks)), ranks)
+        mixed = degree[:, None] != degree  # entries between two different degrees
+        bad = misshapen | (np.abs(p[:, mixed]).max(axis=1, initial=0.0) > 1e-12)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError(f"transport {j} has wrong shape {ps[j].shape}" if misshapen[j]
+                             else f"transport {j} does not preserve grading")
+        p = _owned(p, "transports")
+        v = np.stack([f.full_differential() for f in fibers])
+        res = np.abs(p @ v - np.roll(v, -1, axis=0) @ p).max(axis=(1, 2), initial=0.0)
+        if (res > 1e-9).any():
+            j = int(np.argmax(res > 1e-9))
+            raise ValueError(f"flatness residual {res[j]:.3e} on edge {j}")
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "transports", tuple(p))
+
+    @cached_property
+    def stacks(self):
+        """(diffs, grams): per degree k, the read-only stacks of d_k and of
+        G_k over every sample, along a leading sample axis."""
+        k = range(len(self.ranks))
+        return (tuple(_read_only(np.stack([f.diffs[i] for f in self.fibers])) for i in k[:-1]),
+                tuple(_read_only(np.stack([f.metrics[i] for f in self.fibers])) for i in k))
 
     @property
     def n_samples(self):
@@ -127,12 +137,6 @@ class SuperconnectionFamily:
     @property
     def ranks(self):
         return self.fibers[0].ranks
-
-    def holonomy(self):
-        p = np.eye(self.fibers[0].total_rank, dtype=complex)
-        for t in self.transports:
-            p = t @ p
-        return p
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +152,13 @@ def adjoint_superconnection(fam: SuperconnectionFamily):
     of X at the edge midpoint, coefficient of dtheta).
     """
     m = fam.n_samples
-    vstar, x0 = [], []
-    for j in range(m):
-        fib = fam.fibers[j]
-        v = fib.full_differential()
-        g = fib.full_metric()
-        vs = np.linalg.solve(g, v.conj().T @ g)
-        vstar.append(vs)
-        x0.append(0.5 * (vs - v))
+    v = [f.full_differential() for f in fam.fibers]
+    g = [f.full_metric() for f in fam.fibers]
+    vstar = [np.linalg.solve(g_j, v_j.conj().T @ g_j) for v_j, g_j in zip(v, g)]
+    x0 = [0.5 * (vs - v_j) for vs, v_j in zip(vstar, v)]
     adj_tr, w = [], []
     for j in range(m):
-        g_j = fam.fibers[j].full_metric()
-        g_j1 = fam.fibers[(j + 1) % m].full_metric()
-        p = fam.transports[j]
+        g_j, g_j1, p = g[j], g[(j + 1) % m], fam.transports[j]
         p_inv_h = np.linalg.inv(p).conj().T
         adj_tr.append(np.linalg.solve(g_j1, p_inv_h @ g_j))
         g_par = p.conj().T @ g_j1 @ p
@@ -187,13 +185,6 @@ def _supertrace_f(diffs, grams, gdots):
     return total
 
 
-def _stack(fam: SuperconnectionFamily):
-    """Per degree k, the differentials d_k and the Gram matrices G_k of
-    every sample, stacked along a leading sample axis."""
-    return ([np.stack([f.diffs[k] for f in fam.fibers]) for k in range(len(fam.ranks) - 1)],
-            [np.stack([f.metrics[k] for f in fam.fibers]) for k in range(len(fam.ranks))])
-
-
 def h_form(fam: SuperconnectionFamily, t_scale=None):
     """Characteristic form of the family for the (optionally rescaled) metric.
 
@@ -207,7 +198,7 @@ def h_form(fam: SuperconnectionFamily, t_scale=None):
     """
     n = fam.fibers[0].top_degree
     off = fam.fibers[0].offsets()
-    diffs, grams = _stack(fam)
+    diffs, grams = fam.stacks
     g_mid, g_dot = [], []
     for k, g_j in enumerate(grams):
         p = np.stack([t[off[k] : off[k + 1], off[k] : off[k + 1]] for t in fam.transports])
@@ -230,10 +221,10 @@ def _path_metrics(fam: SuperconnectionFamily, path, nodes, check=True):
     node l in nodes, stacked with shape (m, n_nodes, r, r). With check,
     raises ValueError at the first one, in (j, l) order, that is not
     positive definite."""
-    m = fam.n_samples
+    m, ls = fam.n_samples, nodes.tolist()
     grams = [np.empty((m, len(nodes), r, r), dtype=complex) for r in fam.ranks]
     for j in range(m):
-        calls = [path(l, j) for l in nodes]
+        calls = [path(l, j) for l in ls]
         for k, out in enumerate(grams):
             g = np.array([c[k] for c in calls], dtype=complex)
             out[j] = 0.5 * (g + _adj(g))
@@ -279,7 +270,7 @@ def transgression(fam: SuperconnectionFamily, metric_path, n_l=33):
         down = _path_metrics(fam, metric_path, lo[1:])
         gdots = [(np.concatenate([u, g[:, -1:]], axis=1) - np.concatenate([g[:, :1], d], axis=1))
                  / (hi - lo)[:, None, None] for g, u, d in zip(grams, up, down)]
-    diffs = [d[:, None] for d in _stack(fam)[0]]
+    diffs = [d[:, None] for d in fam.stacks[0]]
     deg0 = scipy.integrate.simpson(0.5 * _supertrace_f(diffs, grams, gdots), x=ls, axis=-1)
     return FormOnBase(deg0, np.zeros(m, dtype=complex))
 
@@ -312,7 +303,7 @@ def _torsion_form(fam: SuperconnectionFamily, tau, t_max, n_t):
     if not (0.0 < tau < t_max):
         raise ValueError("need 0 < tau < t_max")
     m = fam.n_samples
-    diffs, grams = _stack(fam)
+    diffs, grams = fam.stacks
     spectra = [_laplacian_eigh(diffs, grams, k) for k in range(len(grams))]
     h = _kernel_dims([spec[0] for spec in spectra])
     ts = np.geomspace(tau, t_max, n_t)
@@ -349,7 +340,7 @@ def harmonic_connection_form(fam: SuperconnectionFamily):
     Tr_s[W_H] (h'(0) = 1), zero when the fibers are acyclic.
     """
     m = fam.n_samples
-    diffs, grams = _stack(fam)
+    diffs, grams = fam.stacks
     bases = []
     for k in range(len(grams)):
         lam, vecs = _laplacian_eigh(diffs, grams, k, vectors=True)

@@ -9,11 +9,14 @@ log-determinant and the deformation-parameter integral).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+
+from .birthdeath import _read_only
 
 __all__ = [
     "GradedComplex",
@@ -61,11 +64,18 @@ def h_prime(a):
     return (1.0 + 2.0 * a * a) * np.exp(a * a)
 
 
-def _as_matrix(m, rows, cols, name):
-    arr = np.asarray(m, dtype=complex)
+def _owned(arr, name, error=ValueError):
+    """arr, a copy the caller owns, made read-only; error unless all entries are finite."""
+    if not np.isfinite(arr).all():
+        raise error(f"{name} has non-finite entries")
+    return _read_only(arr)
+
+
+def _as_matrix(m, rows, cols, name, error=ValueError):
+    arr = np.array(m, dtype=complex)
     if arr.shape != (rows, cols):
         raise ValueError(f"{name}: expected shape {(rows, cols)}, got {arr.shape}")
-    return arr
+    return _owned(arr, name, error)
 
 
 @dataclass(frozen=True)
@@ -76,56 +86,57 @@ class EulerData:
     chi_prime: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradedComplex:
     """Z-graded complex with differentials and per-degree Gram matrices.
 
     ranks[k] is dim C^k; diffs[k] is the matrix of d_k with shape
     (ranks[k+1], ranks[k]); metrics[k] is the Hermitian positive Gram
-    matrix of C^k. Validation of d^2 = 0 (every entry of d_{k+1} d_k within
-    1e-9 max(1, |d_k|_max |d_{k+1}|_max)) and of metric positivity happens
-    at construction.
+    matrix of C^k (default: identity). Validation of d^2 = 0 (every entry
+    of d_{k+1} d_k within 1e-9 max(1, |d_k|_max |d_{k+1}|_max)), of
+    |G - G^H| <= 1e-12 + 1e-12 |G^H| entrywise, of positivity and of finite
+    entries (InvalidMetricError for metrics) happens once, at construction.
+    Immutable: diffs and metrics are tuples of read-only copies of the
+    inputs, and `spectra` is solved once, on first use.
     """
 
     ranks: tuple
-    diffs: list = field(default_factory=list)
-    metrics: list = field(default_factory=list)
+    diffs: tuple = ()
+    metrics: tuple = ()
 
     def __post_init__(self):
-        self.ranks = tuple(int(r) for r in self.ranks)
-        if any(r < 0 for r in self.ranks):
+        ranks = tuple(int(r) for r in self.ranks)
+        if any(r < 0 for r in ranks):
             raise ValueError("ranks must be non-negative")
-        n = len(self.ranks)
+        n = len(ranks)
         if len(self.diffs) != max(n - 1, 0):
             raise ValueError(f"expected {n - 1} differentials, got {len(self.diffs)}")
-        self.diffs = [
-            _as_matrix(d, self.ranks[k + 1], self.ranks[k], f"d_{k}")
-            for k, d in enumerate(self.diffs)
-        ]
-        if not self.metrics:
-            self.metrics = [np.eye(r, dtype=complex) for r in self.ranks]
-        if len(self.metrics) != n:
-            raise ValueError(f"expected {n} metrics, got {len(self.metrics)}")
-        self.metrics = [
-            _as_matrix(g, self.ranks[k], self.ranks[k], f"G_{k}")
-            for k, g in enumerate(self.metrics)
-        ]
-        for k, g in enumerate(self.metrics):
-            if g.size == 0:
-                continue
-            if not np.allclose(g, g.conj().T, atol=1e-12, rtol=1e-12):
+        diffs = tuple(_as_matrix(d, ranks[k + 1], ranks[k], f"d_{k}")
+                      for k, d in enumerate(self.diffs))
+        metrics = self.metrics or [np.eye(r) for r in ranks]
+        if len(metrics) != n:
+            raise ValueError(f"expected {n} metrics, got {len(metrics)}")
+        metrics = tuple(_as_matrix(g, ranks[k], ranks[k], f"G_{k}", InvalidMetricError)
+                        for k, g in enumerate(metrics))
+        for k, g in enumerate(metrics):
+            gh = g.conj().T
+            if not (np.abs(g - gh) <= 1e-12 + 1e-12 * np.abs(gh)).all():
                 raise InvalidMetricError(f"G_{k} is not Hermitian")
-            w = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-            if w.min() <= 0:
+            if g.size and np.linalg.eigvalsh(0.5 * (g + gh)).min() <= 0:
                 raise InvalidMetricError(f"G_{k} is not positive definite")
-        def absmax(a):
-            return float(np.abs(a).max()) if a.size else 0.0
+        top = [np.abs(d).max(initial=0.0) for d in diffs]
+        for k in range(len(diffs) - 1):
+            prod = np.abs(diffs[k + 1] @ diffs[k]).max(initial=0.0)
+            if prod > 1e-9 * max(1.0, top[k] * top[k + 1]):
+                raise ValueError(f"d_{k + 1} d_{k} != 0 (max entry {prod:.3e})")
+        for name, value in (("ranks", ranks), ("diffs", diffs), ("metrics", metrics)):
+            object.__setattr__(self, name, value)
 
-        for k in range(len(self.diffs) - 1):
-            prod = self.diffs[k + 1] @ self.diffs[k]
-            scale = max(1.0, absmax(self.diffs[k]) * absmax(self.diffs[k + 1]))
-            if absmax(prod) > 1e-9 * scale:
-                raise ValueError(f"d_{k + 1} d_{k} != 0 (max entry {absmax(prod):.3e})")
+    @cached_property
+    def spectra(self):
+        """Read-only ascending Laplacian spectrum of every degree, solved once, on first use."""
+        return tuple(_read_only(_laplacian_eigh(self.diffs, self.metrics, k))
+                     for k in range(len(self.ranks)))
 
     # -- convenience ----------------------------------------------------
     @property
@@ -141,7 +152,7 @@ class GradedComplex:
         return np.concatenate([[0], np.cumsum(self.ranks)]).astype(int)
 
     def with_metrics(self, metrics):
-        return GradedComplex(self.ranks, [d.copy() for d in self.diffs], list(metrics))
+        return GradedComplex(self.ranks, self.diffs, metrics)
 
     def full_differential(self):
         """Differential as one matrix on the direct sum of all degrees."""
@@ -157,15 +168,11 @@ class GradedComplex:
 
     def degree_weights(self):
         """Vector with entry k on the degree-k block."""
-        return np.concatenate(
-            [np.full(r, k, dtype=float) for k, r in enumerate(self.ranks)]
-        ) if self.total_rank else np.zeros(0)
+        return np.repeat(np.arange(len(self.ranks), dtype=float), self.ranks)
 
     def sign_weights(self):
         """Vector with entry (-1)^k on the degree-k block."""
-        return np.concatenate(
-            [np.full(r, (-1.0) ** k) for k, r in enumerate(self.ranks)]
-        ) if self.total_rank else np.zeros(0)
+        return np.repeat((-1.0) ** np.arange(len(self.ranks)), self.ranks)
 
 
 def _block_diag(blocks):
@@ -186,15 +193,10 @@ def _block_diag(blocks):
 
 
 def adjoints(c: GradedComplex):
-    """Metric adjoints d*_k = G_k^{-1} d_k^H G_{k+1} for every degree."""
-    out = []
-    for k, d in enumerate(c.diffs):
-        gk, gk1 = c.metrics[k], c.metrics[k + 1]
-        try:
-            out.append(np.linalg.solve(gk, d.conj().T @ gk1))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded at init
-            raise InvalidMetricError(f"G_{k} is singular") from exc
-    return out
+    """Metric adjoints d*_k = G_k^{-1} d_k^H G_{k+1} for every degree (the
+    immutable metrics were checked positive definite at construction)."""
+    g = c.metrics
+    return [np.linalg.solve(g[k], d.conj().T @ g[k + 1]) for k, d in enumerate(c.diffs)]
 
 
 def laplacian(c: GradedComplex, k: int):
@@ -251,18 +253,14 @@ def _laplacian_eigh(diffs, grams, k, vectors=False):
 
 
 def laplacian_spectrum(c: GradedComplex, k: int):
-    """Real spectrum of the degree-k Laplacian (ascending)."""
-    return _laplacian_eigh(c.diffs, c.metrics, k)
-
-
-def _kernel_threshold(spec):
-    top = spec.max() if spec.size else 0.0
-    return KERNEL_RTOL * (top if top > 0 else 1.0)
+    """Real spectrum of the degree-k Laplacian (ascending, read-only)."""
+    return c.spectra[k]
 
 
 def _split_spectrum(spec, check_band=True):
     """Split Laplacian spectrum into (kernel count, nonzero part)."""
-    thr = _kernel_threshold(spec)
+    top = spec.max(initial=0.0)
+    thr = KERNEL_RTOL * (top if top > 0 else 1.0)
     if check_band:
         lo, hi = AMBIGUITY_BAND[0] * thr, AMBIGUITY_BAND[1] * thr
         bad = spec[(spec > lo) & (spec < hi)]
@@ -272,11 +270,6 @@ def _split_spectrum(spec, check_band=True):
             )
     ker = int((spec <= thr).sum())
     return ker, np.clip(spec[spec > thr], 0.0, None)
-
-
-def _spectra(c: GradedComplex):
-    """Laplacian spectrum of every degree, one eigensolve each."""
-    return [laplacian_spectrum(c, k) for k in range(len(c.ranks))]
 
 
 def _euler(dims):
@@ -291,7 +284,7 @@ def _kernel_dims(spectra):
 
 def cohomology_dims(c: GradedComplex):
     """dim H^k as the kernel dimension of the degree-k Laplacian."""
-    return _kernel_dims(_spectra(c))
+    return _kernel_dims(c.spectra)
 
 
 def euler_chars(c: GradedComplex):
@@ -311,8 +304,8 @@ def finite_torsion(c: GradedComplex):
     ambiguity band raises IndeterminateKernelError.
     """
     total = 0.0
-    for k in range(1, len(c.ranks)):  # degree 0 has weight k = 0: not solved
-        _, nonzero = _split_spectrum(laplacian_spectrum(c, k), check_band=True)
+    for k in range(1, len(c.ranks)):  # degree 0 has weight k = 0
+        _, nonzero = _split_spectrum(c.spectra[k], check_band=True)
         if nonzero.size:
             total += 0.5 * (-1.0) ** k * k * np.log(nonzero).sum()
     return float(total)
@@ -353,9 +346,7 @@ def torsion_integrand(c: GradedComplex, t):
     evaluated spectrally (see _spectral_integrand) and t may be an array.
     """
     t = np.asarray(t, dtype=float)
-    spectra = _spectra(c)
-    return _spectral_integrand(spectra, euler_chars(c),
-                               _euler(_kernel_dims(spectra)), t)
+    return _spectral_integrand(c.spectra, euler_chars(c), euler_chars_cohomology(c), t)
 
 
 def finite_torsion_integral(c: GradedComplex, t_max=None):
@@ -363,10 +354,9 @@ def finite_torsion_integral(c: GradedComplex, t_max=None):
 
     Only well defined (convergent at both ends) when the complex is acyclic;
     agreement with finite_torsion is the dual-route check. The spectra are
-    solved once per call, not once per quadrature node.
+    the complex's own (`spectra`), not solved per quadrature node.
     """
-    spectra = _spectra(c)
-    h = _kernel_dims(spectra)
+    spectra, h = c.spectra, cohomology_dims(c)
     if any(h):
         raise ValueError("integral form requires an acyclic complex")
     nonzeros = [

@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 import mpmath
 
-from .graded import GradedComplex, cohomology_dims, euler_chars, finite_torsion
+from .graded import GradedComplex, _owned, cohomology_dims, euler_chars, finite_torsion
 
 __all__ = [
     "ManifoldModel",
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ManifoldModel:
     """A height function on the flat circle or 2-torus with unitary
     coefficients.
@@ -51,28 +51,31 @@ class ManifoldModel:
     `u` of shape (dim, n) they return shapes (dim, n) and (dim, dim, n),
     column j being what the point u[:, j] alone gives, bit for bit.
     `fiber_criticals` evaluates all its Newton seeds through one such call.
+    Immutable: `holonomy` is a tuple of read-only, finite, unitary copies.
     """
 
     kind: str  # 'circle' | 'torus2d'
     value: callable
     grad: callable
     hess: callable
-    holonomy: list  # one unitary per fundamental-group generator
+    holonomy: tuple  # one unitary per fundamental-group generator
 
     def __post_init__(self):
         if self.kind not in ("circle", "torus2d"):
             raise ValueError("kind must be 'circle' or 'torus2d'")
-        self.holonomy = [np.atleast_2d(np.asarray(u, dtype=complex)) for u in self.holonomy]
+        holonomy = tuple(_owned(np.array(u, dtype=complex, ndmin=2), "holonomy")
+                         for u in self.holonomy)
         need = 1 if self.kind == "circle" else 2
-        if len(self.holonomy) != need:
+        if len(holonomy) != need:
             raise ValueError(f"{self.kind} needs {need} holonomy generators")
-        for u in self.holonomy:
+        for u in holonomy:
             if np.abs(u @ u.conj().T - np.eye(len(u))).max() > 1e-12:
                 raise ValueError("holonomy matrices must be unitary")
-        if len(self.holonomy) == 2:
-            a, b = self.holonomy
+        if len(holonomy) == 2:
+            a, b = holonomy
             if np.abs(a @ b - b @ a).max() > 1e-12:
                 raise ValueError("torus holonomies must commute")
+        object.__setattr__(self, "holonomy", holonomy)
 
     @property
     def dim(self):
@@ -308,11 +311,8 @@ def _orientation_sign(p: Critical, q: Critical, minus_vel):
     (flat charts, so no transport is needed); the sign is that of the Gram
     determinant det(V^T U).
     """
-    v = np.asarray(minus_vel, dtype=float)
-    cols = [v] + [q.frame[:, j] for j in range(q.frame.shape[1])]
-    mv = np.stack(cols, axis=1)
-    mu = p.frame
-    s = np.linalg.det(mv.T @ mu)
+    mv = np.column_stack([np.asarray(minus_vel, dtype=float), q.frame])
+    s = np.linalg.det(mv.T @ p.frame)
     if abs(s) < 1e-8:
         raise RuntimeError("degenerate orientation comparison (non-transversal)")
     return 1 if s > 0 else -1
@@ -407,8 +407,8 @@ def suspend(data, N: int, T: float = 1.0):
     ranks = (0,) * N + tuple(cpx.ranks)
     diffs = [np.zeros((ranks[k + 1], ranks[k]), dtype=complex) for k in range(N - 1)]
     diffs.append(np.zeros((cpx.ranks[0], 0), dtype=complex))
-    diffs.extend([d.copy() for d in cpx.diffs])
-    metrics = [np.zeros((0, 0), dtype=complex)] * N + [g.copy() for g in cpx.metrics]
+    diffs.extend(cpx.diffs)
+    metrics = [np.zeros((0, 0), dtype=complex)] * N + list(cpx.metrics)
     sus = GradedComplex(ranks, diffs, metrics)
     e0, e1 = euler_chars(cpx), euler_chars(sus)
     return {

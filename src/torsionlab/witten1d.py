@@ -36,10 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.csgraph
 import scipy.sparse.linalg as spla
 
 from .birthdeath import PiecewisePoly, _hermite5, _hermite3_integrated
+from .graded import _owned
 
 __all__ = [
     "InterfaceProfile",
@@ -65,13 +65,14 @@ EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterfaceProfile:
     """Odd interface deformation profile p_A on [-2r, 2r].
 
     shape holds p_{A=1} on [0, 2r]; p_A(s) = A sign(s) shape(|s|). The
     derivative window [C1 A, 2 C1 A] is certified on [0, 0.02 r]; C2 and
-    max_slope bound |shape''| and |shape'| on [0, r].
+    max_slope bound |shape''| and |shape'| on [0, r]. Immutable; the numbers
+    must be finite (ValueError).
     """
 
     shape: PiecewisePoly
@@ -80,6 +81,10 @@ class InterfaceProfile:
     C1: float
     C2: float
     max_slope: float
+
+    def __post_init__(self):
+        if not np.isfinite([self.r, self.A, self.C1, self.C2, self.max_slope]).all():
+            raise ValueError("interface profile numbers must be finite")
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
@@ -147,13 +152,14 @@ class SpectrumResult:
     metadata: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WittenProblem1D:
     """Grid, potential data and deformation parameters for one operator.
 
     fp/fpp are samples of f' + p_A' and f'' + p_A'' at the nodes (the
     operator only sees those combinations); `nodes` are uniformly spaced,
-    periodic for the circle (last node != first).
+    periodic for the circle (last node != first). Immutable: nodes, fp and
+    fpp are read-only copies; they, T and A must be finite (ValueError).
     """
 
     topology: str
@@ -174,9 +180,10 @@ class WittenProblem1D:
             raise ValueError("boundary conditions are undefined on a circle")
         if self.topology == "interval" and self.bc not in ("absolute", "relative"):
             raise ValueError("interval pieces need absolute or relative conditions")
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.fp = np.asarray(self.fp, dtype=float)
-        self.fpp = np.asarray(self.fpp, dtype=float)
+        if not np.isfinite([self.T, self.A]).all():
+            raise ValueError("T and A must be finite")
+        for name in ("nodes", "fp", "fpp"):
+            object.__setattr__(self, name, _owned(np.array(getattr(self, name), dtype=float), name))
         if self.n_nodes < 3:
             raise ValueError(f"need at least 3 nodes, got {self.n_nodes}")
         h = self.h
@@ -734,23 +741,24 @@ def _small_cluster_count(lam, ratio_flag=10.0):
 def agmon_distance(f_triple, T, from_set, n_nodes=2048):
     """Node-sampled Agmon distance from a source set on the circle.
 
-    Grid-graph shortest path with edge weight T * max(|f'(mid)| h, |df|),
-    which keeps rho_T >= T |f(x) - f(source)| exact on the grid and scales
-    exactly linearly in T.
+    Shortest path on the node cycle with edge weight T * max(|f'(mid)| h,
+    |df|), which keeps rho_T >= T |f(x) - f(source)| exact on the grid and
+    scales exactly linearly in T: the least of the running sums (left folds,
+    as a graph search adds) one way and the other round from every source.
     """
     f, fp, _ = f_triple
     s = np.linspace(0, 2 * np.pi, n_nodes, endpoint=False)
     h = s[1] - s[0]
     mids = s + 0.5 * h
     df = np.abs(f(np.roll(s, -1)) - f(s))  # f is 2 pi periodic
-    w = T * np.maximum(np.abs(fp(mids)) * h, df)
-    rows = np.arange(n_nodes)
-    cols = (rows + 1) % n_nodes
-    graph = sp.coo_matrix((w, (rows, cols)), shape=(n_nodes, n_nodes))
-    graph = graph + graph.T
-    sources = np.asarray(from_set, dtype=int)
-    dist = scipy.sparse.csgraph.dijkstra(graph, directed=False, indices=sources)
-    return s, dist.min(axis=0)
+    w = T * np.maximum(np.abs(fp(mids)) * h, df)  # w[i] joins nodes i and i+1
+    dist = np.full(n_nodes, np.inf)
+    steps = np.arange(n_nodes)
+    for src in np.asarray(from_set, dtype=int):
+        ahead, back = (src + steps) % n_nodes, (src - steps) % n_nodes
+        for path, edges in ((ahead, ahead[:-1]), (back, back[1:])):
+            dist[path] = np.minimum(dist[path], np.concatenate([[0.0], np.cumsum(w[edges])]))
+    return s, dist
 
 
 def _sign_change(vals):

@@ -1,6 +1,9 @@
 """Acceptance suite: one test per criterion, each printing its PASS/FAIL
 line with the runtime against the stated budget."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from torsionlab import acceptance as A
@@ -57,3 +60,45 @@ def test_criterion_9_mayer_vietoris_ranks():
 
 def test_criterion_10_property_suites():
     _run(A.criterion_10_property_suites)
+
+
+SRC = Path(A.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+
+
+def _private_acceptance_names(source, package_module=False):
+    """Underscore names that the source imports from torsionlab.acceptance,
+    or reads off an alias of that module. package_module: the source is a
+    module of torsionlab, so `from .acceptance import ...` counts too."""
+    tree = ast.parse(source)
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = "torsionlab" if node.level == 1 and package_module else ""
+            module = ".".join(filter(None, [package, node.module]))
+            if module == "torsionlab.acceptance":
+                names |= {a.name for a in node.names}
+            elif module == "torsionlab":
+                aliases |= {a.asname or a.name for a in node.names if a.name == "acceptance"}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names
+                        if a.name == "torsionlab.acceptance" and a.asname}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id in aliases}
+    return sorted(n for n in names if n.startswith("_") and not n.endswith("__"))
+
+
+@pytest.mark.parametrize("path", [SRC / "cli.py", *sorted(TESTS.glob("*.py"))],
+                         ids=lambda p: p.name)
+def test_no_private_names_imported_from_acceptance(path):
+    assert _private_acceptance_names(path.read_text(), path.parent == SRC) == []
+
+
+def test_private_acceptance_scan_sees_every_import_form():
+    src = ("from torsionlab.acceptance import _a, b\nfrom torsionlab import acceptance as A\n"
+           "import torsionlab.acceptance as B\nA._c, B._d, A.e, A.__file__\n")
+    assert _private_acceptance_names(src) == ["_a", "_c", "_d"]
+    assert _private_acceptance_names("from .acceptance import _f", package_module=True) == ["_f"]
+    assert _private_acceptance_names("from . import acceptance as C\nC._g",
+                                     package_module=True) == ["_g"]
+    assert _private_acceptance_names("from .acceptance import _f") == []

@@ -164,6 +164,12 @@ def test_degenerate_grid_and_ladder_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_non_finite_input_exits_2(tmp_path, capsys):
+    # a NaN holonomy is refused where the model is built, as a bad input
+    assert run_cli(["run", "torsion", "--theta", "nan", "--output-dir", str(tmp_path)]) == 2
+    assert "validation error: holonomy has non-finite entries" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_3(tmp_path):
     # an unconverged torsion-form tail is a numerical failure, not a
     # configuration problem

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from torsionlab import forms as F
 from torsionlab import graded as G
-from torsionlab.acceptance import _anomaly_family as anomaly_family
+from torsionlab.acceptance import anomaly_family
 from torsionlab.acceptance import random_metric
 from torsionlab.graded import GradedComplex, euler_chars_cohomology, finite_torsion
 
@@ -454,3 +454,87 @@ def test_grr_asymmetric_variation_matches_local_term():
     r = F.grr_residual(fam, tau=1e-3, t_max=150.0, n_t=150)
     assert r["max_local_term"] > 0.05  # genuinely nonzero local term
     assert np.abs(r["residual"] - r["local_term"]).max() < 1e-8
+
+
+def _per_edge_validation_error(fibers, transports):
+    """The first error of the per-edge family validation: shape and grading
+    transport by transport, then flatness edge by edge (None if valid)."""
+    m, ranks = len(fibers), fibers[0].ranks
+    off, n = fibers[0].offsets(), fibers[0].total_rank
+    ps = [np.asarray(p, dtype=complex) for p in transports]
+    for j, p in enumerate(ps):
+        if p.shape != (n, n):
+            return f"transport {j} has wrong shape {p.shape}"
+        for a in range(len(ranks)):
+            for b in range(len(ranks)):
+                blk = p[off[a] : off[a + 1], off[b] : off[b + 1]]
+                if a != b and blk.size and np.abs(blk).max() > 1e-12:
+                    return f"transport {j} does not preserve grading"
+    for j in range(m):
+        v_j, v_next = fibers[j].full_differential(), fibers[(j + 1) % m].full_differential()
+        res = np.abs(ps[j] @ v_j - v_next @ ps[j])
+        if res.size and res.max() > 1e-9:
+            return f"flatness residual {res.max():.3e} on edge {j}"
+    return None
+
+
+def test_batched_family_validation_names_the_first_failing_edge(monkeypatch):
+    fam = anomaly_family(16)
+
+    def leak(j):  # an entry from degree 1 into degree 0
+        q = np.array(fam.transports[j])
+        q[0, 1] = 1e-9
+        return q
+
+    def unflat(j):  # grading kept, flatness broken: degree 0 alone rescaled
+        q = np.array(fam.transports[j])
+        q[0, 0] *= 1.1
+        return q
+
+    cases = [{5: leak(5)}, {9: leak(9), 3: unflat(3)}, {3: unflat(3), 11: unflat(11)},
+             {7: np.eye(3), 4: leak(4)}, {2: np.eye(3), 4: leak(4)}, {0: unflat(0)},
+             {15: unflat(15)}, {6: np.eye(4)[:, :3], 1: unflat(1)}]
+    for case in cases:
+        ps = [case.get(j, t) for j, t in enumerate(fam.transports)]
+        want = _per_edge_validation_error(fam.fibers, ps)
+        assert want is not None
+        with pytest.raises(ValueError) as info:
+            F.SuperconnectionFamily(fam.fibers, ps)
+        assert str(info.value) == want
+    # each fiber's differential is built once, not once per edge end
+    calls = []
+    full = G.GradedComplex.full_differential
+    monkeypatch.setattr(G.GradedComplex, "full_differential",
+                        lambda self: calls.append(1) or full(self))
+    F.SuperconnectionFamily(fam.fibers, fam.transports)
+    assert len(calls) == fam.n_samples
+
+
+def test_transgression_passes_floats_to_path_callbacks():
+    # metric_path and its derivative get plain floats, and degree0 has the
+    # bits of the same callbacks fed numpy float64 nodes
+    fam = anomaly_family(8)
+    types = []
+
+    def metric(l, j):
+        types.append(type(l))
+        return [(1 - l) * np.eye(len(g)) + l * g for g in fam.fibers[j].metrics]
+
+    def derivative(l, j):
+        types.append(type(l))
+        return [g - np.eye(len(g)) for g in fam.fibers[j].metrics]
+
+    def float64(fn):
+        return lambda l, j: fn(np.float64(l), j)
+
+    def exact(l, j):
+        return metric(l, j)
+
+    exact.derivative = derivative
+    exact64 = float64(metric)
+    exact64.derivative = float64(derivative)
+    for path, ref in ((metric, float64(metric)), (exact, exact64)):
+        types.clear()
+        got = F.transgression(fam, path, n_l=17).degree0
+        assert set(types) == {float}
+        assert _same_bits(got, F.transgression(fam, ref, n_l=17).degree0)

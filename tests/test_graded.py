@@ -222,8 +222,8 @@ def test_finite_torsion_integral_solves_each_spectrum_once(monkeypatch):
     h = 2 * np.pi / 6
     d = (np.roll(np.eye(6), 1, axis=1) - np.eye(6)).astype(complex) / h
     d[5, 0] *= np.exp(0.7j)
-    c = G.GradedComplex((6, 6), [d])
-    expected = G.finite_torsion_integral(c)
+    expected = G.finite_torsion_integral(G.GradedComplex((6, 6), [d]))
+    c = G.GradedComplex((6, 6), [d])  # a fresh complex: spectra are solved on first use
     calls = []
     solve = G._laplacian_eigh
 
@@ -232,6 +232,8 @@ def test_finite_torsion_integral_solves_each_spectrum_once(monkeypatch):
         return solve(diffs, grams, k, vectors)
 
     monkeypatch.setattr(G, "_laplacian_eigh", counting)
+    assert G.finite_torsion_integral(c) == expected
+    assert sorted(calls) == [0, 1]
     assert G.finite_torsion_integral(c) == expected
     assert sorted(calls) == [0, 1]
 
@@ -273,3 +275,56 @@ def test_pencil_broadcasts_over_stacked_metrics():
                 cs = c.with_metrics([g[s] for g in stacks])
                 ref = G._pencil(cs.diffs, cs.metrics, k)
                 assert np.allclose(got[s], ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max(initial=1.0))
+
+
+def test_hermitian_test_is_allclose_written_directly(monkeypatch):
+    # the constructor tests |G - G^H| <= 1e-12 + 1e-12 |G^H| entrywise
+    # without np.allclose, and refuses exactly the finite metrics that
+    # np.allclose(G, G^H, atol=1e-12, rtol=1e-12) refuses: entries moved to
+    # just inside and just outside the tolerance
+    from torsionlab.acceptance import random_metric
+
+    allclose = np.allclose
+    monkeypatch.setattr(np, "allclose", None)
+    rng = np.random.default_rng(12)
+    outcomes = []
+    for _ in range(120):
+        r = int(rng.integers(1, 5))
+        g = random_metric(rng, r)
+        i, j = (int(x) for x in rng.integers(0, r, size=2))
+        tol = 1e-12 + 1e-12 * abs(g[j, i])
+        for f in (0.5, 0.999999, 1.000001, 2.0):
+            g2 = g.copy()
+            g2[i, j] += f * tol * (1j if i == j else rng.choice([1.0, -1.0, 1j]))
+            want = allclose(g2, g2.conj().T, atol=1e-12, rtol=1e-12)
+            try:
+                G.GradedComplex((r,), [], [g2])
+                got = True
+            except G.InvalidMetricError as exc:
+                assert "not Hermitian" in str(exc)
+                got = False
+            assert got == want, (g2, f)
+            outcomes.append(got)
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_spectra_solved_once_per_complex(monkeypatch):
+    # finite_torsion, finite_torsion_integral, torsion_integrand,
+    # cohomology_dims and laplacian_spectrum all read the complex's one
+    # spectrum per degree
+    c = random_complex(np.random.default_rng(13), n_deg=3, max_piece=2, acyclic=True)
+    calls = []
+    solve = G._laplacian_eigh
+
+    def counting(diffs, grams, k, vectors=False):
+        calls.append(k)
+        return solve(diffs, grams, k, vectors)
+
+    monkeypatch.setattr(G, "_laplacian_eigh", counting)
+    G.finite_torsion(c)
+    G.finite_torsion_integral(c)
+    G.torsion_integrand(c, np.array([0.5, 2.0]))
+    assert G.cohomology_dims(c) == [0, 0, 0]
+    for k in range(3):
+        assert G.laplacian_spectrum(c, k) is c.spectra[k]
+    assert sorted(calls) == [0, 1, 2]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -343,7 +344,7 @@ def test_build_complex_stacks_every_shot(monkeypatch):
         calls.append(np.shape(u))
         return grad(u)
 
-    model.grad = counting
+    model = dataclasses.replace(model, grad=counting)
     data = M.build_complex(model)
     assert data.complex.ranks == (1, 2, 1)
     assert len(solvers) == 1
@@ -423,7 +424,7 @@ def test_fiber_criticals_batches_grad_calls():
         calls.append(np.shape(u))
         return grad(u)
 
-    model.grad = counting
+    model = dataclasses.replace(model, grad=counting)
     assert len(M.fiber_criticals(model)) == 4
     # one batched call before the first Newton iteration and one per
     # iteration (at most 60), not one or two per seed and step

@@ -9,11 +9,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from torsionlab import witten1d as W
-from torsionlab.acceptance import _cos2 as cos2
+from torsionlab.acceptance import cos2
 
-from util import (band_sigma_max, factor_eigenpairs_splu_oracle, factor_spectra_splu_oracle,
-                  factor_svals_band_oracle, factor_svals_exact_floor, golub_kahan_band,
-                  spectrum_dense_oracle)
+from util import (agmon_distance_dijkstra, band_sigma_max, factor_eigenpairs_splu_oracle,
+                  factor_spectra_splu_oracle, factor_svals_band_oracle, factor_svals_exact_floor,
+                  golub_kahan_band, spectrum_dense_oracle)
 
 
 ZERO = (lambda s: 0.0 * s, lambda s: 0.0 * s, lambda s: 0.0 * s)
@@ -249,6 +249,24 @@ def test_agmon_distance_properties():
     # integral of |f'| from 0 to pi/2 equals f(pi/2) - f(0) = 0.05
     i_quarter = 1024
     assert abs(rho2[i_quarter] - 10.0 * 0.05) < 1e-3
+
+
+@pytest.mark.parametrize("amplitude", [0.08, 0.1, 0.12, 0.35])
+def test_agmon_distance_matches_dijkstra_bitwise(amplitude):
+    for T in (1.0, 20.0, 80.0):
+        for sources in ([0], [3, 1500], [100, 612, 1024, 2047]):
+            s, rho = W.agmon_distance(cos2(amplitude), T, sources)
+            s_ref, rho_ref = agmon_distance_dijkstra(cos2(amplitude), T, sources)
+            assert np.array_equal(s, s_ref) and np.array_equal(rho, rho_ref)
+
+
+def test_torsionlab_imports_no_graph_library():
+    code = ("import sys, torsionlab.cli, torsionlab.acceptance, torsionlab.witten1d; "
+            "print('scipy.sparse.csgraph' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(W.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_agmon_decay_bounded_across_ladder():

@@ -478,3 +478,17 @@ def trap_flow_lsoda_oracle(p, prof, u0, t_end):
     return scipy.integrate.solve_ivp(
         lambda t, u: [-g for g in value_grad(u)[1]], (0.0, t_end), u0, method="LSODA",
         jac=lambda t, u: -hessian(u), rtol=1e-8, atol=1e-12, max_step=1.0)
+
+
+def agmon_distance_dijkstra(f_triple, T, from_set, n_nodes=2048):
+    """witten1d.agmon_distance by Dijkstra's search on the cycle graph of
+    the nodes, with the same edge weights."""
+    f, fp, _ = f_triple
+    s = np.linspace(0, 2 * np.pi, n_nodes, endpoint=False)
+    h = s[1] - s[0]
+    w = T * np.maximum(np.abs(fp(s + 0.5 * h)) * h, np.abs(f(np.roll(s, -1)) - f(s)))
+    rows = np.arange(n_nodes)
+    graph = sp.coo_matrix((w, (rows, (rows + 1) % n_nodes)), shape=(n_nodes, n_nodes))
+    dist = scipy.sparse.csgraph.dijkstra(graph + graph.T, directed=False,
+                                         indices=np.asarray(from_set, dtype=int))
+    return s, dist.min(axis=0)
