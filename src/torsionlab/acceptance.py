@@ -8,6 +8,7 @@ budget.
 
 from __future__ import annotations
 
+import sys
 import time
 import warnings
 
@@ -120,8 +121,9 @@ def criterion_3_anomaly_formula():
     return ok, f"residual(m=64)={r64:.3e}, refinement ratio={r64 / r128:.2f}"
 
 
-def anomaly_family(m, beta=0.3, amp=0.15):
+def anomaly_family(m):
     """Acyclic rank-(1, 2, 1) flat family on m samples (criterion 3, `run anomaly`)."""
+    beta, amp = 0.3, 0.15  # phase offset of the fiber rotation, metric wobble
     import scipy.linalg
 
     from .forms import SuperconnectionFamily
@@ -311,12 +313,12 @@ def criterion_10_property_suites():
     return True, "; ".join(details)
 
 
-def random_metric(rng, r, spread=0.5):
-    """Random Hermitian positive Gram matrix of rank r."""
+def random_metric(rng, r):
+    """Random Hermitian positive Gram matrix b b^H + I of rank r, b = (X + iY) / 2 Gaussian."""
     if r == 0:
         return np.zeros((0, 0), dtype=complex)
-    a = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
-    return (spread * a) @ (spread * a).conj().T + np.eye(r, dtype=complex)
+    b = 0.5 * (rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+    return b @ b.conj().T + np.eye(r, dtype=complex)
 
 
 def random_complex(rng, n_deg=3, max_piece=2, acyclic=False, identity_metrics=False):
@@ -368,18 +370,16 @@ CRITERIA = [
 ]
 
 
-def run_all(printer=print, timing_printer=None):
-    """Run every criterion in order. The PASS/FAIL summary lines printed via
-    `printer` are deterministic (re-runs are byte-identical); wall times go
-    through `timing_printer` when provided."""
+def run_all():
+    """Run every criterion in order. The PASS/FAIL summary lines go to
+    stdout and are deterministic (re-runs are byte-identical); wall times
+    go to stderr."""
     results = []
     for fn in CRITERIA:
         res = fn()
         status = "PASS" if res["passed"] else "FAIL"
-        printer(f"[{status}] {res['name']}: {res['detail']}")
-        if timing_printer is not None:
-            timing_printer(
-                f"    {res['name']}: {res['seconds']:.1f}s (budget {res['budget']:.0f}s)"
-            )
+        print(f"[{status}] {res['name']}: {res['detail']}")
+        print(f"    {res['name']}: {res['seconds']:.1f}s (budget {res['budget']:.0f}s)",
+              file=sys.stderr)
         results.append(res)
     return results

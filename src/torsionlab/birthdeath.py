@@ -178,39 +178,24 @@ def _horner_rows(table, rows, x):
     return acc
 
 
-def _hermite5(x0, x1, v0, d0, dd0, v1, d1, dd1):
-    """Quintic on [x0, x1] matching value/slope/curvature at both ends,
-    returned as monomial coefficients in (s - x0)."""
-    h = x1 - x0
-    a = np.zeros((6, 6))
-    b = np.array([v0, d0, dd0, v1, d1, dd1], dtype=float)
-    a[0, 0] = 1.0
-    a[1, 1] = 1.0
-    a[2, 2] = 2.0
-    for p in range(6):
-        a[3, p] = h**p
-        a[4, p] = p * h ** (p - 1) if p >= 1 else 0.0
-        a[5, p] = p * (p - 1) * h ** (p - 2) if p >= 2 else 0.0
-    return np.linalg.solve(a, b)
+def _hermite(x0, x1, left, right):
+    """Confluent Hermite interpolant on [x0, x1]: the polynomial of degree
+    len(left) + len(right) - 1 whose derivatives of order 0, 1, ... are
+    `left` at x0 and `right` at x1, as monomial coefficients in (s - x0)."""
+    h, n = x1 - x0, len(left) + len(right)
+    a = np.zeros((n, n))
+    for k in range(len(left)):
+        a[k, k] = math.factorial(k)
+    for k in range(len(right)):
+        for p in range(k, n):
+            a[len(left) + k, p] = math.perm(p, k) * h ** (p - k)
+    return np.linalg.solve(a, np.array([*left, *right], dtype=float))
 
 
-def _hermite3_integrated(x0, x1, q0, dp0, ddp0, dp1, ddp1):
-    """Quartic whose derivative is the cubic Hermite on [x0, x1] with
-    derivative values dp0 -> dp1 and curvature values ddp0 -> ddp1;
-    the constant term is q0. Monomial coefficients in (s - x0)."""
-    h = x1 - x0
-    a = np.zeros((4, 4))
-    b = np.array([dp0, ddp0, dp1, ddp1], dtype=float)
-    a[0, 0] = 1.0
-    a[1, 1] = 1.0
-    for p in range(4):
-        a[2, p] = h**p
-        a[3, p] = p * h ** (p - 1) if p >= 1 else 0.0
-    c = np.linalg.solve(a, b)  # cubic coefficients of the derivative
-    out = np.zeros(5)
-    out[0] = q0
-    out[1:] = c / np.arange(1, 5)
-    return out
+def _hermite_integral(x0, x1, q0, left, right):
+    """The antiderivative, with constant term q0, of _hermite(x0, x1, left, right)."""
+    c = _hermite(x0, x1, left, right)
+    return np.concatenate([[q0], c / np.arange(1, len(c) + 1)])
 
 
 @dataclass(frozen=True)
@@ -261,9 +246,9 @@ def _build_eta(p: ModelParams):
     knots = [0.0, r1 / 6.0, r1, r2, 2.5 * r2]
     coeffs = [
         np.zeros(1),
-        _hermite5(r1 / 6.0, r1, 0.0, 0.0, 0.0, d * r1, d, 0.0),
+        _hermite(r1 / 6.0, r1, (0.0, 0.0, 0.0), (d * r1, d, 0.0)),
         np.array([d * r1, d]),  # delta * s in local coordinates
-        _hermite5(r2, 2.5 * r2, d * r2, d, 0.0, 0.0, 0.0, 0.0),
+        _hermite(r2, 2.5 * r2, (d * r2, d, 0.0), (0.0, 0.0, 0.0)),
         np.zeros(1),
     ]
     return PiecewisePoly(knots, coeffs)
@@ -274,9 +259,9 @@ def _build_eta_tilde(p: ModelParams):
     knots = [0.0, r1 / 6.0, r1 / 2.0, r2, 2.5 * r2]
     coeffs = [
         np.zeros(1),
-        _hermite5(r1 / 6.0, r1 / 2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0),
+        _hermite(r1 / 6.0, r1 / 2.0, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
         np.ones(1),
-        _hermite5(r2, 2.5 * r2, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+        _hermite(r2, 2.5 * r2, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
         np.zeros(1),
     ]
     return PiecewisePoly(knots, coeffs)
@@ -316,16 +301,16 @@ def _build_q_shape(p: ModelParams):
     knots = [0.0, r1, r1 + eps, m1, a, b, m2, r2 - eps, r2]
     coeffs = [
         np.array([v_in]),
-        _hermite5(r1, r1 + eps, v_in, 0.0, 0.0, quad_left(r1 + eps), eps, 1.0),
+        _hermite(r1, r1 + eps, (v_in, 0.0, 0.0), (quad_left(r1 + eps), eps, 1.0)),
         np.array([quad_left(r1 + eps), eps, 0.5]),
-        _hermite3_integrated(m1, a, quad_left(m1), d_edge, 1.0, S, 0.0),
+        _hermite_integral(m1, a, quad_left(m1), (d_edge, 1.0), (S, 0.0)),
         None,  # plateau, filled below
-        _hermite3_integrated(b, m2, 0.0, S, 0.0, d_edge, -1.0),
+        _hermite_integral(b, m2, 0.0, (S, 0.0), (d_edge, -1.0)),
         np.array([quad_right(m2), r2 - m2, -0.5]),
-        _hermite5(r2 - eps, r2, quad_right(r2 - eps), eps, -1.0, 0.0, 0.0, 0.0),
+        _hermite(r2 - eps, r2, (quad_right(r2 - eps), eps, -1.0), (0.0, 0.0, 0.0)),
         np.zeros(1),
     ]
-    q_a = float(np.polyval(coeffs[3][::-1], a - m1))
+    q_a = float(_horner_rows(coeffs[3][None], 0, a - m1))
     coeffs[4] = np.array([q_a, S])
     # anchor the right ramp’s constant so the value is continuous at b
     q_b = q_a + S * (b - a)
@@ -639,7 +624,7 @@ class CriticalPoint:
     newton_residual: float
 
 
-def _newton_seeds(p: ModelParams, n_random=1000, n_angles=24):
+def _newton_seeds(p: ModelParams, n_random):
     # the stated shells plus the quarter-band radii: seeds placed exactly at
     # the band edges see the flat branches and Newton leaps across the band,
     # missing the on-axis pair near the outer rim
@@ -659,7 +644,7 @@ def _newton_seeds(p: ModelParams, n_random=1000, n_angles=24):
             seeds.append(np.zeros(p.n + 1))
             shell_ids.append(si)
             continue
-        for phi in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
+        for phi in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False):
             u = np.zeros(p.n + 1)
             u[0] = rho * np.cos(phi)
             u[1] = rho * np.sin(phi)
@@ -695,19 +680,18 @@ def _damped_steps(hesss, grads, lam):
     return steps
 
 
-def find_critical_points(p: ModelParams, prof: ShapingProfiles, max_iter=80,
-                         n_random=1000):
+def find_critical_points(p: ModelParams, prof: ShapingProfiles, n_random=1000):
     """Deterministic multistart Newton census, deduplicated and classified.
 
-    Seeds: radial shells x angular net in the (u0, u1) plane plus a fixed
-    batch of full-dimensional random points (seeded RNG). Damped Newton on
-    the gradient; points are kept when the residual reaches
+    Seeds: radial shells x a 24-angle net in the (u0, u1) plane plus a fixed
+    batch of full-dimensional random points (seeded RNG). 80 damped Newton
+    steps on the gradient; points are kept when the residual reaches
     1e-11 (1 + A), deduplicated at distance 1e-6, and dropped when one
     more damped Newton step would still move them by more than 1e-7.
     """
     if p.A < 100:
         warnings.warn("census is only reliable for large deformation A (>= 100)")
-    seeds, shell_ids = _newton_seeds(p, n_random=n_random)
+    seeds, shell_ids = _newton_seeds(p, n_random)
     us = seeds.copy()
     tol = 1e-11 * (1.0 + p.A)
     alive = np.ones(len(us), dtype=bool)
@@ -716,7 +700,7 @@ def find_critical_points(p: ModelParams, prof: ShapingProfiles, max_iter=80,
     # inside the dedup radius instead of stopping at a loose gradient norm
     lam = 1e-10 * (1.0 + p.A)
     cap = 0.5 * (p.r2 - p.r1) + 0.05 * p.r1
-    for _ in range(max_iter):
+    for _ in range(80):
         rows = np.where(alive)[0]
         if rows.size == 0:
             break
@@ -804,9 +788,10 @@ def outer_triple(census, p: ModelParams):
     return [c for c in census if cut < np.linalg.norm(c.location) <= p.r2]
 
 
-def separation_report(census_a, census_2a, p_a: ModelParams, rel_tol=0.05):
+def separation_report(census_a, census_2a, p_a: ModelParams):
     """Distance / value-gap / magnitude proxies for the outer triple, with
-    an A-doubling stability verdict per proxy."""
+    an A-doubling stability verdict per proxy: stable when the two values
+    differ by at most 5 % of the larger."""
 
     def proxies(census, p):
         tri = outer_triple(census, p)
@@ -821,11 +806,11 @@ def separation_report(census_a, census_2a, p_a: ModelParams, rel_tol=0.05):
     p_2a = ModelParams(p_a.n, p_a.i, p_a.r1, p_a.r2, p_a.delta, p_a.y, 2.0 * p_a.A)
     c, cp, cap = proxies(census_a, p_a)
     c2, cp2, cap2 = proxies(census_2a, p_2a)
-    rel = lambda a, b: abs(a - b) / max(abs(a), abs(b))
+    stable = lambda a, b: abs(a - b) / max(abs(a), abs(b)) <= 0.05
     return {
-        "c": (c, c2, rel(c, c2) <= rel_tol),
-        "c_prime": (cp, cp2, rel(cp, cp2) <= rel_tol),
-        "C": (cap, cap2, rel(cap, cap2) <= rel_tol),
+        "c": (c, c2, stable(c, c2)),
+        "c_prime": (cp, cp2, stable(cp, cp2)),
+        "C": (cap, cap2, stable(cap, cap2)),
     }
 
 
@@ -848,28 +833,20 @@ def radial_derivative_check(p: ModelParams, prof: ShapingProfiles, n_samples=100
     return float(np.min(np.sum(grads * dirs, axis=1)))
 
 
-def flow_containment_probe(p, prof, point: CriticalPoint, c, direction="unstable",
-                           n_dirs=40, r_escape=10.0):
-    """Integrate the gradient flow off a critical point to a level set.
+def flow_containment_probe(p, prof, point: CriticalPoint, c, n_dirs=40):
+    """Integrate the unstable gradient flow off a critical point to a level set.
 
-    direction 'unstable': flow along -grad f from small displacements in the
-    negative eigenspace until f = f(point) - c; 'stable': flow along +grad f
-    to f = f(point) + c. Crossings with |u| > r2 are collected and tested
-    against the containment box u0 <= 3 r2, |u^+| <= 5 r2 / 2. n_dirs < 1
-    raises ValueError.
+    Flow along -grad f from small displacements in the negative eigenspace
+    until f = f(point) - c, or until |u| reaches 10. Crossings with |u| > r2
+    are collected and tested against the containment box u0 <= 3 r2,
+    |u^+| <= 5 r2 / 2. n_dirs < 1 raises ValueError.
     """
     if n_dirs < 1:
         raise ValueError("n_dirs must be at least 1")
     val0, _, hess = eval_f(p, prof, point.location)
     spec, vecs = np.linalg.eigh(hess)
-    if direction == "unstable":
-        cols = vecs[:, spec < 0]
-        sgn_flow = +1.0  # follow -grad f downhill
-        target = val0 - c
-    else:
-        cols = vecs[:, spec > 0]
-        sgn_flow = -1.0  # follow +grad f uphill
-        target = val0 + c
+    cols = vecs[:, spec < 0]
+    target = val0 - c
     if cols.shape[1] == 0:
         return {"crossings": [], "divergent": 0, "stalled": 0, "u0_ok": True,
                 "uplus_ok": True, "box": None}
@@ -885,16 +862,16 @@ def flow_containment_probe(p, prof, point: CriticalPoint, c, direction="unstable
     # event fires exactly once
     def rhs(t, u):
         g = np.array(value_grad(u)[1])
-        return -sgn_flow * g / max(np.linalg.norm(g), 1e-30)
+        return -g / max(np.linalg.norm(g), 1e-30)
 
     def level(t, u):
         return value_grad(u)[0] - target
 
     level.terminal = True
-    level.direction = -sgn_flow
+    level.direction = -1.0
 
     def escape(t, u):
-        return np.linalg.norm(u) - r_escape
+        return np.linalg.norm(u) - 10.0
 
     escape.terminal = True
 
@@ -909,7 +886,7 @@ def flow_containment_probe(p, prof, point: CriticalPoint, c, direction="unstable
     captured.direction = -1.0
 
     crossings, divergent, stalled = [], 0, 0
-    span = 4.0 * r_escape  # generous arc-length budget
+    span = 40.0  # generous arc-length budget: four escape radii
     for d in dirs:
         u0 = point.location + eps * (cols @ d)
         budget = [6000]
@@ -937,10 +914,7 @@ def flow_containment_probe(p, prof, point: CriticalPoint, c, direction="unstable
     outside = [u for u in crossings if np.linalg.norm(u) > p.r2]
     i = p.i
     u0_ok = all(u[0] <= 3.0 * p.r2 + 1e-9 for u in outside)
-    uplus_key = (lambda u: np.linalg.norm(u[i + 1 :])) if direction == "unstable" else (
-        lambda u: np.linalg.norm(u[1 : i + 1])
-    )
-    uplus_ok = all(uplus_key(u) <= 2.5 * p.r2 + 1e-9 for u in outside)
+    uplus_ok = all(np.linalg.norm(u[i + 1 :]) <= 2.5 * p.r2 + 1e-9 for u in outside)
     box = None
     if outside:
         arr = np.array(outside)

@@ -373,7 +373,7 @@ def cmd_run(args):
 def cmd_verify_all(args):
     from .acceptance import run_all
 
-    results = run_all(timing_printer=lambda line: print(line, file=sys.stderr))
+    results = run_all()
     n_fail = sum(1 for r in results if not r["passed"])
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
     return 0 if n_fail == 0 else 1

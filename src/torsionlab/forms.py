@@ -78,7 +78,9 @@ class SuperconnectionFamily:
     fibers[j] is the complex over sample j (identical ranks across j);
     transports[j] is the invertible grading-preserving matrix carrying the
     fiber at j to the fiber at j+1 (mod m), written on the direct sum of
-    all degrees, with finite entries. Every entry of the flatness residual
+    all degrees, with finite entries; one whose smallest singular value is
+    at most N eps times its largest (N the total rank) is refused as
+    singular. Every entry of the flatness residual
     transports[j] v(j) - v(j+1) transports[j] must be at most 1e-9 (one
     batched test over all edges, naming the first that fails). Immutable:
     fibers and transports are tuples, the transports read-only, and
@@ -110,6 +112,10 @@ class SuperconnectionFamily:
             raise ValueError(f"transport {j} has wrong shape {ps[j].shape}" if misshapen[j]
                              else f"transport {j} does not preserve grading")
         p = _owned(p, "transports")
+        sv = np.linalg.svd(p, compute_uv=False)  # descending
+        singular = (sv[:, -1:] <= N * np.finfo(float).eps * sv[:, :1]).any(axis=1)
+        if singular.any():
+            raise ValueError(f"transport {int(np.argmax(singular))} is singular")
         v = np.stack([f.full_differential() for f in fibers])
         res = np.abs(p @ v - np.roll(v, -1, axis=0) @ p).max(axis=(1, 2), initial=0.0)
         if (res > 1e-9).any():

@@ -349,12 +349,13 @@ def torsion_integrand(c: GradedComplex, t):
     return _spectral_integrand(c.spectra, euler_chars(c), euler_chars_cohomology(c), t)
 
 
-def finite_torsion_integral(c: GradedComplex, t_max=None):
+def finite_torsion_integral(c: GradedComplex):
     """Scalar torsion as the integral of torsion_integrand over (0, inf).
 
     Only well defined (convergent at both ends) when the complex is acyclic;
     agreement with finite_torsion is the dual-route check. The spectra are
-    the complex's own (`spectra`), not solved per quadrature node.
+    the complex's own (`spectra`), not solved per quadrature node. The
+    integral stops at max(200, 200 / the smallest nonzero eigenvalue).
     """
     spectra, h = c.spectra, cohomology_dims(c)
     if any(h):
@@ -363,8 +364,7 @@ def finite_torsion_integral(c: GradedComplex, t_max=None):
         _split_spectrum(spec)[1] for k, spec in enumerate(spectra) if c.ranks[k]
     ]
     lam_min = min((nz.min() for nz in nonzeros if nz.size), default=1.0)
-    if t_max is None:
-        t_max = max(200.0, 200.0 / lam_min)
+    t_max = max(200.0, 200.0 / lam_min)
     e, eh = euler_chars(c), _euler(h)
     val, _ = scipy.integrate.quad(
         lambda t: float(_spectral_integrand(spectra, e, eh, np.array([t]))[0]),

@@ -459,7 +459,7 @@ def gaussian_normalization_probe(N: int, T: float, T2: float):
     return out
 
 
-def ball_removed_ranks(model: ManifoldModel, N: int, remove_ball=True):
+def ball_removed_ranks(model: ManifoldModel, N: int):
     """Cohomology ranks of the suspended complex with one ball removed.
 
     Removing the ball adds an index-1 generator block plus a cancelling
@@ -467,8 +467,6 @@ def ball_removed_ranks(model: ManifoldModel, N: int, remove_ball=True):
     """
     data = build_complex(model)
     sus = suspend(data, N)["complex"]
-    if not remove_ball:
-        return cohomology_dims(sus)
     m = model.rep_rank
     top = len(sus.ranks) - 1
     ranks = list(sus.ranks)

@@ -38,7 +38,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .birthdeath import PiecewisePoly, _hermite5, _hermite3_integrated
+from .birthdeath import PiecewisePoly, _hermite, _hermite_integral
 from .graded import _owned
 
 __all__ = [
@@ -63,6 +63,8 @@ __all__ = [
 SMOOTH_FRAC = 1e-4
 EPS = float(np.finfo(float).eps)
 TINY = float(np.finfo(float).tiny)
+WELL_WIDTH = 0.3  # half-width of the wells (critical neighborhoods) of agmon_decay_check
+UNDERFLOW = 1e-14  # small_eigenvalue_scan's cut: smaller values sit under the circle's floor
 
 
 @dataclass(frozen=True)
@@ -99,10 +101,11 @@ class InterfaceProfile:
         return self.A * np.sign(s) * self.shape.deriv2(np.abs(s))
 
 
-def build_p_profile(A, r, verify=True):
+def build_p_profile(A, r):
     """Odd C^2 interface profile: flat +-A r^2/2 beyond |s| = r, a pure
     half-quadratic on most of the tube and a certified derivative window
-    near the center."""
+    near the center. The window, the flat branch and the oddness are
+    checked on samples; a violation raises ValueError."""
     if A < 0 or r <= 0:
         raise ValueError("need A >= 0 and r > 0")
     w = 0.02 * r
@@ -118,9 +121,9 @@ def build_p_profile(A, r, verify=True):
     d0 = 2.0 * (target - w * w * 1.0 / 12.0) / w - d_edge
     knots = [0.0, w, r - eps, r]
     coeffs = [
-        _hermite3_integrated(0.0, w, 0.0, d0, 0.0, d_edge, -1.0),
+        _hermite_integral(0.0, w, 0.0, (d0, 0.0), (d_edge, -1.0)),
         np.array([quad(w), d_edge, -0.5]),
-        _hermite5(r - eps, r, quad(r - eps), eps, -1.0, 0.5 * r**2, 0.0, 0.0),
+        _hermite(r - eps, r, (quad(r - eps), eps, -1.0), (0.5 * r**2, 0.0, 0.0)),
         np.array([0.5 * r**2]),
     ]
     shape = PiecewisePoly(knots, coeffs)
@@ -131,16 +134,15 @@ def build_p_profile(A, r, verify=True):
     c2 = float(np.abs(shape.deriv2(full)).max())
     prof = InterfaceProfile(shape=shape, r=r, A=float(A), C1=c1, C2=c2,
                             max_slope=float(np.abs(shape.deriv(full)).max()))
-    if verify:
-        if dv.max() > 2.0 * c1 + 1e-9 * r:
-            raise ValueError(
-                f"derivative window violated on [0, 0.02r]: range [{dv.min():.3e}, {dv.max():.3e}]"
-            )
-        if abs(shape.value(1.5 * r) - 0.5 * r**2) > 1e-12 * r**2:
-            raise ValueError("flat branch violated at 1.5 r")
-        s_odd = np.linspace(-2 * r, 2 * r, 1001)
-        if np.abs(prof.value(s_odd) + prof.value(-s_odd)).max() > 1e-12 * (A + 1) * r**2:
-            raise ValueError("oddness violated")
+    if dv.max() > 2.0 * c1 + 1e-9 * r:
+        raise ValueError(
+            f"derivative window violated on [0, 0.02r]: range [{dv.min():.3e}, {dv.max():.3e}]"
+        )
+    if abs(shape.value(1.5 * r) - 0.5 * r**2) > 1e-12 * r**2:
+        raise ValueError("flat branch violated at 1.5 r")
+    s_odd = np.linspace(-2 * r, 2 * r, 1001)
+    if np.abs(prof.value(s_odd) + prof.value(-s_odd)).max() > 1e-12 * (A + 1) * r**2:
+        raise ValueError("oddness violated")
     return prof
 
 
@@ -157,9 +159,10 @@ class WittenProblem1D:
     """Grid, potential data and deformation parameters for one operator.
 
     fp/fpp are samples of f' + p_A' and f'' + p_A'' at the nodes (the
-    operator only sees those combinations); `nodes` are uniformly spaced,
-    periodic for the circle (last node != first). Immutable: nodes, fp and
-    fpp are read-only copies; they, T and A must be finite (ValueError).
+    operator only sees those combinations), one per node; `nodes` increase
+    with uniform spacing h (each step within 1e-9 h), periodic for the
+    circle (last node != first). Immutable: nodes, fp and fpp are read-only
+    copies; they, T and A must be finite. A violation raises ValueError.
     """
 
     topology: str
@@ -186,7 +189,11 @@ class WittenProblem1D:
             object.__setattr__(self, name, _owned(np.array(getattr(self, name), dtype=float), name))
         if self.n_nodes < 3:
             raise ValueError(f"need at least 3 nodes, got {self.n_nodes}")
+        if self.fp.shape != self.nodes.shape or self.fpp.shape != self.nodes.shape:
+            raise ValueError(f"fp and fpp need one entry per node ({self.n_nodes} nodes)")
         h = self.h
+        if not (h > 0 and (np.abs(np.diff(self.nodes) - h) <= 1e-9 * h).all()):
+            raise ValueError("nodes must increase with uniform spacing")
         resolve = 0.1 / (self.T * np.abs(self.fp).max() + 1.0)
         if h > resolve * (1 + 1e-12):
             raise ValueError(
@@ -289,15 +296,9 @@ def assemble(problem: WittenProblem1D):
     v = _potential(problem)
     n = problem.n_nodes
     if problem.topology == "circle":
-        main = np.full(n, 2.0 / h**2) + v
-        mat = sp.diags(
-            [main, np.full(n - 1, -1.0 / h**2), np.full(n - 1, -1.0 / h**2)],
-            [0, 1, -1],
-            format="lil",
-        )
-        mat[0, n - 1] = -1.0 / h**2
-        mat[n - 1, 0] = -1.0 / h**2
-        return mat.tocsr()
+        off, corner = np.full(n - 1, -1.0 / h**2), np.full(1, -1.0 / h**2)
+        return sp.diags([np.full(n, 2.0 / h**2) + v, off, off, corner, corner],
+                        [0, 1, -1, n - 1, 1 - n], format="csr")
     neumann = (problem.bc == "absolute") == (problem.form_degree == 0)
     if neumann:
         # stiffness + lumped mass quadratic forms
@@ -387,9 +388,8 @@ def _factor_spectra(problem: WittenProblem1D, k=None, dense_limit=1800):
         svals, floor = _factor_svals(b, min(rank, want))
         lam, n_zero = svals**2, int((svals <= floor).sum())
     else:
-        op, shift, clamp, v0, opinv = _factor_operator(b, 0 if rows >= cols else 1)
-        lam = np.sort(spla.eigsh(op, k=min(rank - 2, want), sigma=shift, which="LM",
-                                 v0=v0, OPinv=opinv, return_eigenvectors=False))
+        op, shift, clamp, opinv = _factor_operator(b, 0 if rows >= cols else 1)
+        lam = _shift_invert(op, min(rank - 2, want), shift, opinv, False)
         lam[np.abs(lam) < clamp] = 0.0
         n_zero = int((lam == 0.0).sum())
     return tuple(_padded_spectrum(lam, n_zero, dim, rank, k) for dim in (cols, rows))
@@ -518,8 +518,8 @@ def _factor_operator(b, form_degree):
     """Shift-invert setup for the factor Laplacian: the operator B^H B
     (degree 0) or B B^H (degree 1), the shift -1e-8 ||op||, the roundoff
     floor 30 eps ||op|| below which its eigenvalues are zero (||op||
-    estimated as 2 max|diag|), the fixed start vector and the OPinv of
-    eigsh, a tridiagonal LDL^T solve of op - shift I (_shift_inverse):
+    estimated as 2 max|diag|) and the OPinv of _shift_invert, a
+    tridiagonal LDL^T solve of op - shift I (_shift_inverse):
     op is positive semi-definite by construction, so the negative shift
     makes op - shift I positive definite. The shift is about 4.5e7 times
     the rounding floor eps ||op|| of that LDL^T, so it stays definite, and
@@ -528,9 +528,7 @@ def _factor_operator(b, form_degree):
     op = (b.conj().T @ b) if form_degree == 0 else (b @ b.conj().T)
     norm_est = float(np.abs(op.diagonal()).max()) * 2.0
     shift = -1e-8 * norm_est
-    v0 = np.full(op.shape[0], 1.0 / np.sqrt(op.shape[0]))
-    return (op, shift, 30.0 * np.finfo(float).eps * norm_est, v0,
-            _shift_inverse(op, shift))
+    return op, shift, 30.0 * EPS * norm_est, _shift_inverse(op, shift)
 
 
 def _pttrf(d, e):
@@ -585,6 +583,28 @@ def _shift_inverse(op, shift):
     return spla.LinearOperator(op.shape, matvec=solve, dtype=float)
 
 
+def _shift_invert(op, nev, shift, opinv, vectors):
+    """The nev eigenvalues of the symmetric op nearest the shift, ascending
+    (a stable sort: no CPU-dependent ties), with their vectors if `vectors`,
+    by eigsh from the fixed start vector 1 / sqrt(n); op - shift I is solved
+    by opinv, or by SuperLU when opinv is None."""
+    n = op.shape[0]
+    out = spla.eigsh(op, k=nev, sigma=shift, which="LM", v0=np.full(n, 1.0 / np.sqrt(n)),
+                     OPinv=opinv, return_eigenvectors=vectors)
+    if not vectors:
+        return np.sort(out)
+    order = sorted(range(nev), key=out[0].__getitem__)
+    return out[0][order], out[1][:, order]
+
+
+def _spectrum_result(problem: WittenProblem1D, op, w, vecs, kernel_dim):
+    """SpectrumResult of the pairs (w, vecs) of op; its metadata holds the
+    problem's parameters and the residuals, checked by _checked_residuals."""
+    return SpectrumResult(w, vecs, kernel_dim, {
+        "T": problem.T, "A": problem.A, "bc": problem.bc, "N": problem.n_nodes,
+        "form_degree": problem.form_degree, "residuals": _checked_residuals(op, w, vecs)})
+
+
 def _checked_residuals(op, w, vecs):
     """Residuals ||op v - lambda v|| of the eigenpairs (w, vecs); raises
     RuntimeError where one exceeds 1e-8 max(1, |lambda|) ||v||."""
@@ -606,22 +626,11 @@ def factor_eigenpairs(problem: WittenProblem1D, k):
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    op, shift, clamp, v0, opinv = _factor_operator(assemble_factor(problem),
-                                                   problem.form_degree)
-    w, vecs = spla.eigsh(op, k=min(op.shape[0] - 2, k + 2), sigma=shift,
-                         which="LM", v0=v0, OPinv=opinv)
-    order = sorted(range(len(w)), key=w.__getitem__)[:k]  # stable: no CPU-dependent ties
-    w, vecs = w[order], vecs[:, order]
+    op, shift, clamp, opinv = _factor_operator(assemble_factor(problem), problem.form_degree)
+    w, vecs = _shift_invert(op, min(op.shape[0] - 2, k + 2), shift, opinv, True)
+    w, vecs = w[:k], vecs[:, :k]
     w[np.abs(w) < clamp] = 0.0
-    residuals = _checked_residuals(op, w, vecs)
-    return SpectrumResult(
-        eigenvalues=w,
-        eigenvectors=vecs,
-        kernel_dim=int((w == 0.0).sum()),
-        metadata={"T": problem.T, "A": problem.A, "bc": problem.bc,
-                  "N": problem.n_nodes, "form_degree": problem.form_degree,
-                  "residuals": residuals},
-    )
+    return _spectrum_result(problem, op, w, vecs, int((w == 0.0).sum()))
 
 
 def spectrum(problem: WittenProblem1D, k):
@@ -639,20 +648,9 @@ def spectrum(problem: WittenProblem1D, k):
     if k > n // 4:
         raise ValueError("k must stay below a quarter of the grid size")
     shift = -1e-3 * max(1.0, np.abs(mat.diagonal()).max() / n)
-    v0 = np.full(n, 1.0 / np.sqrt(n))
-    w, vecs = spla.eigsh(mat, k=k, sigma=shift, which="LM", v0=v0)
-    order = sorted(range(len(w)), key=w.__getitem__)  # stable: no CPU-dependent ties
-    w, vecs = w[order], vecs[:, order]
-    _checked_residuals(mat, w, vecs)
+    w, vecs = _shift_invert(mat, k, shift, None, True)
     kernel_tol = max(1e-8, 2e-6 * max(np.abs(w).max(), 1.0))
-    kernel = int((w < kernel_tol).sum())
-    return SpectrumResult(
-        eigenvalues=w,
-        eigenvectors=vecs,
-        kernel_dim=kernel,
-        metadata={"T": problem.T, "A": problem.A, "bc": problem.bc,
-                  "N": problem.n_nodes, "form_degree": problem.form_degree},
-    )
+    return _spectrum_result(problem, mat, w, vecs, int((w < kernel_tol).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -715,23 +713,19 @@ def gluing_scan(f_triple, T, A_ladder, interface_r, cuts=(np.pi / 4, 7 * np.pi /
     return out
 
 
-def _small_cluster_count(lam, ratio_flag=10.0):
+def _small_cluster_count(lam):
     """Count of the exponentially small group, split at the largest
-    multiplicative gap below the O(1) scale."""
+    multiplicative gap below the O(1) scale; a largest gap under a factor
+    10 warns and counts the values below 1e-8 times the median."""
     lam = np.asarray(lam)
     pos = lam[lam > 0]
     if pos.size == 0:
         return len(lam)
-    scale = max(np.median(pos), 1e-30)
-    floor = 1e-30
-    vals = np.clip(lam, floor, None)
-    logs = np.log(vals)
-    diffs = np.diff(logs)
-    if diffs.size == 0 or diffs.max() < np.log(ratio_flag):
+    diffs = np.diff(np.log(np.clip(lam, 1e-30, None)))
+    if diffs.size == 0 or diffs.max() < np.log(10.0):
         warnings.warn("cluster/continuum split ambiguous (gap ratio < 10)")
-        return int((lam < 1e-8 * scale).sum())
-    split = int(np.argmax(diffs)) + 1
-    return split
+        return int((lam < 1e-8 * max(np.median(pos), 1e-30)).sum())
+    return int(np.argmax(diffs)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +761,8 @@ def _sign_change(vals):
     return (vals < 0) != (np.roll(vals, -1) < 0)
 
 
-def critical_neighborhood_mask(f_triple, s, width=0.3):
-    """Boolean mask of nodes within `width` of a critical point of f."""
+def critical_neighborhood_mask(f_triple, s):
+    """Boolean mask of nodes within WELL_WIDTH of a critical point of f."""
     _, fp, _ = f_triple
     fine = np.linspace(0, 2 * np.pi, 16384, endpoint=False)
     vals = fp(fine)
@@ -776,17 +770,18 @@ def critical_neighborhood_mask(f_triple, s, width=0.3):
     mask = np.zeros(len(s), dtype=bool)
     for c in crit:
         d = np.abs((s - c + np.pi) % (2 * np.pi) - np.pi)
-        mask |= d <= width
+        mask |= d <= WELL_WIDTH
     return mask
 
 
-def small_eigenvalue_scan(f_triple, T_ladder, k_branches=1, n_nodes=None, underflow=1e-14):
+def small_eigenvalue_scan(f_triple, T_ladder, k_branches=1):
     """Fit the exponential decay of the tunneling branch against the Agmon
     prediction.
 
     For each T the circle factor's secular solve (_factor_svals, error
     eps * sigma_max in sigma) provides the sub-cluster eigenvalues sigma^2
-    above its kernel, the constants; branches are followed by index. The
+    above its kernel, the constants; branches are followed by index, and
+    values below UNDERFLOW are dropped. The grid is circle_problem's. The
     prediction is -2 * (Agmon distance at T=1 from the well set to the
     nearest separating ridge), the quantity controlling the squared singular
     value of the deformed differential between well states. The log-linear
@@ -797,38 +792,26 @@ def small_eigenvalue_scan(f_triple, T_ladder, k_branches=1, n_nodes=None, underf
     lam_branches = {j: [] for j in range(1, k_branches + 1)}
     ts_used = {j: [] for j in range(1, k_branches + 1)}
     for T in T_ladder:
-        prob = circle_problem(f_triple, T, n_nodes=n_nodes, form_degree=0)
+        prob = circle_problem(f_triple, T, form_degree=0)
         # a window that held only kernel values comes back widened: its
         # extra values are the continuum, not a branch
         svals, floor = _factor_svals(assemble_factor(prob), k_branches + 1)
         svals = svals[: k_branches + 1]
         nonzero = svals[svals > floor] ** 2
-        for j in range(1, k_branches + 1):
-            if j - 1 < len(nonzero):
-                val = nonzero[j - 1]
-                if val >= underflow:
-                    lam_branches[j].append(val)
-                    ts_used[j].append(T)
+        for j, val in enumerate(nonzero[:k_branches], 1):
+            if val >= UNDERFLOW:
+                lam_branches[j].append(val)
+                ts_used[j].append(T)
     # Agmon oracle: distance from the wells to the separating ridge
     s, rho1 = agmon_distance(f_triple, 1.0, _critical_nodes(f_triple, 2048, +1))
     ridge = _critical_nodes(f_triple, 2048, -1)
-    barrier = float(rho1[ridge].min())
+    pred = -2.0 * float(rho1[ridge].min())
     out = {}
     for j, vals in lam_branches.items():
         ts = np.array(ts_used[j], dtype=float)
-        if len(vals) < 3:
-            out[j] = {"slope": np.nan, "prediction": -2.0 * barrier, "ok": False,
-                      "T": ts, "lambda": np.array(vals)}
-            continue
-        slope = np.polyfit(ts, np.log(vals), 1)[0]
-        pred = -2.0 * barrier
-        out[j] = {
-            "slope": float(slope),
-            "prediction": pred,
-            "ok": abs(slope - pred) <= 0.10 * abs(pred),
-            "T": ts,
-            "lambda": np.array(vals),
-        }
+        slope = float(np.polyfit(ts, np.log(vals), 1)[0]) if len(vals) >= 3 else np.nan
+        out[j] = {"slope": slope, "prediction": pred, "ok": abs(slope - pred) <= 0.10 * abs(pred),
+                  "T": ts, "lambda": np.array(vals)}
     return out
 
 
@@ -841,34 +824,34 @@ def _critical_nodes(f_triple, n, curvature):
     return idx[curvature * fpp(s[idx]) > 0]
 
 
-def agmon_decay_check(f_triple, T_ladder, b=0.5, well_width=0.3, n_nodes=None,
-                      eig_index=0):
+def agmon_decay_check(f_triple, T_ladder, b=0.5):
     """Sup over off-well nodes of log|u_T| + b rho_T across a T-ladder.
 
-    u_T is the eig_index-th 0-form eigenvector (sup-normalized); the
-    precondition lambda <= (b - b^2) c_f^2 T^2 / 4 with c_f = min |f'| off
-    the critical neighborhoods is enforced per T, and refused before any
-    eigensolve where no node lies off them.
+    u_T is the lowest 0-form eigenvector (sup-normalized) on circle_problem's
+    grid; the wells are the critical neighborhoods of half-width WELL_WIDTH.
+    The precondition lambda <= (b - b^2) c_f^2 T^2 / 4 with c_f = min |f'|
+    off the wells is enforced per T, and refused before any eigensolve where
+    no node lies off them.
     """
     if not (0.0 < b < 1.0):
         raise ValueError("need 0 < b < 1")
     _, fp, _ = f_triple
     sups = []
     for T in T_ladder:
-        prob = circle_problem(f_triple, T, n_nodes=n_nodes, form_degree=0)
+        prob = circle_problem(f_triple, T, form_degree=0)
         s = prob.nodes
-        off = ~critical_neighborhood_mask(f_triple, s, width=well_width)
+        off = ~critical_neighborhood_mask(f_triple, s)
         if not off.any():
             raise ValueError(f"decay precondition undefined at T={T}: no node off the wells")
         cf = np.abs(fp(s[off])).min()
         bound = (b - b * b) * cf * cf * T * T / 4.0
-        res = spectrum(prob, k=eig_index + 2)
-        lam = res.eigenvalues[eig_index]
+        res = spectrum(prob, k=2)
+        lam = res.eigenvalues[0]
         if lam > bound:
             raise ValueError(
                 f"eigenvalue {lam:.3e} violates decay precondition {bound:.3e} at T={T}"
             )
-        u = res.eigenvectors[:, eig_index]
+        u = res.eigenvectors[:, 0]
         u = u / np.abs(u).max()
         # Agmon distance from the critical neighborhoods on the problem grid
         wells = np.where(~off)[0]
@@ -880,8 +863,7 @@ def agmon_decay_check(f_triple, T_ladder, b=0.5, well_width=0.3, n_nodes=None,
 
 
 def _nearest_nodes(positions, n):
-    idx = np.unique(np.round(np.asarray(positions) / (2 * np.pi / n)).astype(int) % n)
-    return idx
+    return np.unique(np.round(np.asarray(positions) / (2 * np.pi / n)).astype(int) % n)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import scipy.integrate
 
 from torsionlab import birthdeath as B
 from torsionlab import witten1d as W
-from util import _model_oracle, trap_flow_lsoda_oracle
+from util import (_model_oracle, hermite3_integrated_oracle, hermite5_oracle,
+                  trap_flow_lsoda_oracle)
 
 PARAMS = dict(n=6, i=3, r1=0.04, r2=0.06, delta=0.0015)
 DELTA = PARAMS["delta"]
@@ -35,6 +36,38 @@ def test_params_validation():
         B.ModelParams(n=6, i=6, r1=0.04, r2=0.06, delta=0.001)
     with pytest.raises(ValueError, match=r"\|y\|"):
         B.ModelParams(n=6, i=3, r1=0.04, r2=0.06, delta=0.0015, y=1e-5)
+
+
+@pytest.mark.parametrize("n_cond", [3, 2])
+def test_hermite_meets_its_end_conditions(n_cond):
+    # derivative k at either end, relative to the magnitude of its terms
+    # c_p p! / (p - k)! h^(p - k), over interval lengths 1e-6 to 1
+    rng = np.random.default_rng(32)
+    for _ in range(200):
+        x0 = rng.uniform(-1.0, 1.0)
+        x1 = x0 + 10.0 ** rng.uniform(-6.0, 0.0)
+        left, right = rng.normal(size=n_cond), rng.normal(size=n_cond)
+        c = B._hermite(x0, x1, left, right)
+        assert len(c) == 2 * n_cond
+        for k in range(n_cond):
+            for at, want in ((0.0, left[k]), (x1 - x0, right[k])):
+                terms = [c[p] * math.perm(p, k) * at ** (p - k) for p in range(k, len(c))]
+                assert abs(sum(terms) - want) <= 1e-9 * sum(abs(t) for t in terms)
+
+
+def test_hermite_matches_the_two_builders_it_replaced():
+    rng = np.random.default_rng(33)
+    for _ in range(1000):
+        x0 = rng.uniform(-1.0, 1.0)
+        x1 = x0 + 10.0 ** rng.uniform(-6.0, 0.0)
+        v = rng.normal(size=7) * 10.0 ** rng.uniform(-3.0, 3.0, size=7)
+        assert np.array_equal(B._hermite(x0, x1, tuple(v[:3]), tuple(v[3:6])),
+                              hermite5_oracle(x0, x1, *v[:6]))
+        assert np.array_equal(B._hermite_integral(x0, x1, v[6], tuple(v[:2]), tuple(v[2:4])),
+                              hermite3_integrated_oracle(x0, x1, v[6], *v[:4]))
+        # the plateau value of the q profile: one Horner sweep, as np.polyval
+        c = rng.normal(size=5)
+        assert B._horner_rows(c[None], 0, x1 - x0) == np.polyval(c[::-1], x1 - x0)
 
 
 def test_profile_pinned_values(setup):

@@ -542,11 +542,6 @@ def test_ball_removed_rank_table():
                 assert ranks[l] == 0
             for l in range(n_sus, len(ranks)):
                 assert ranks[l] == plain[l]
-    # trivial removal reproduces the plain suspension
-    model = M.circle_model()
-    assert M.ball_removed_ranks(model, 4, remove_ball=False) == cohomology_dims(
-        M.suspend(M.build_complex(model), 4)["complex"]
-    )
 
 
 def test_zeta_oracle_matches_eigen_sum():

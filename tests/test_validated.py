@@ -128,6 +128,23 @@ NON_FINITE = {
 }
 
 
+def test_singular_transports_are_refused():
+    fibers = anomaly_family(8).fibers
+    # zero transports preserve the grading and are trivially flat
+    with pytest.raises(ValueError, match="transport 0 is singular"):
+        F.SuperconnectionFamily(fibers, [np.zeros((4, 4))] * 8)
+    # smallest singular value at N eps times the largest is refused, on the edge named
+    eps = np.finfo(float).eps
+    with pytest.raises(ValueError, match="transport 5 is singular"):
+        _family(np.diag([1.0, 1.0, 1.0, 4 * eps]), at=5)
+    # just above it, the transport is invertible (and here not flat)
+    with pytest.raises(ValueError, match="flatness"):
+        _family(np.diag([1.0, 1.0, 1.0, 5 * eps]), at=5)
+    for m in (8, 64):
+        sv = np.linalg.svd(np.stack(anomaly_family(m).transports), compute_uv=False)
+        assert np.abs(sv - 1.0).max() <= 1e-14
+
+
 @pytest.mark.parametrize("case", NON_FINITE)
 def test_non_finite_inputs_are_refused(case):
     make, error = NON_FINITE[case]

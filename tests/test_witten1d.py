@@ -11,9 +11,10 @@ import scipy.sparse.linalg as spla
 from torsionlab import witten1d as W
 from torsionlab.acceptance import cos2
 
-from util import (agmon_distance_dijkstra, band_sigma_max, factor_eigenpairs_splu_oracle,
-                  factor_spectra_splu_oracle, factor_svals_band_oracle, factor_svals_exact_floor,
-                  golub_kahan_band, spectrum_dense_oracle)
+from util import (agmon_distance_dijkstra, assemble_circle_lil_oracle, band_sigma_max,
+                  factor_eigenpairs_splu_oracle, factor_spectra_splu_oracle,
+                  factor_svals_band_oracle, factor_svals_exact_floor, golub_kahan_band,
+                  spectrum_dense_oracle)
 
 
 ZERO = (lambda s: 0.0 * s, lambda s: 0.0 * s, lambda s: 0.0 * s)
@@ -40,6 +41,32 @@ def test_problem_validation():
         W.WittenProblem1D("circle", s, 0 * s, 0 * s, 1.0, bc="absolute")
     with pytest.raises(ValueError, match="grid too coarse"):
         W.WittenProblem1D("circle", s, 10.0 + 0 * s, 0 * s, 50.0)
+
+
+def test_problem_refuses_mismatched_samples_and_uneven_nodes():
+    p = W.circle_problem(cos2(0.1), 5.0)
+    assert p.n_nodes == 126
+    with pytest.raises(ValueError, match="one entry per node"):
+        W.WittenProblem1D("circle", p.nodes, p.fp[:10], p.fpp[:10], 5.0)
+    shifted = p.nodes + 0.3 * (np.arange(p.n_nodes) >= 5)
+    with pytest.raises(ValueError, match="uniform spacing"):
+        W.WittenProblem1D("circle", shifted, p.fp, p.fpp, 5.0)
+    with pytest.raises(ValueError, match="uniform spacing"):
+        W.WittenProblem1D("circle", p.nodes[::-1], p.fp[::-1], p.fpp[::-1], 5.0)
+
+
+@pytest.mark.parametrize("n", [63, 257, 2000])
+def test_circle_assembly_matches_lil_oracle(n):
+    # 63 nodes is the coarsest grid the problem accepts for f = 0
+    for f_triple, T in ((ZERO, 1.0), (cos2(0.1), 1e-3)):
+        for deg in (0, 1):
+            prob = W.circle_problem(f_triple, T, n_nodes=n, form_degree=deg)
+            mat, ref = W.assemble(prob), assemble_circle_lil_oracle(prob)
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(mat, name), getattr(ref, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+    with pytest.raises(ValueError, match="grid too coarse"):
+        W.circle_problem(ZERO, 1.0, n_nodes=62)
 
 
 def test_circle_free_laplacian_closed_form():

@@ -341,9 +341,10 @@ def _factor_splu_eigsh(b, form_degree, nev, vectors):
     """The factor Gram operator op, its clamp, and the eigsh pairs (or
     values) of op nearest the shift, at most dim - 2 of them, with
     op - shift I factored by SuperLU."""
-    op, shift, clamp, v0, _ = _factor_operator(b, form_degree)
-    return op, clamp, spla.eigsh(op.tocsc(), k=min(op.shape[0] - 2, nev), sigma=shift,
-                                 which="LM", v0=v0, return_eigenvectors=vectors)
+    op, shift, clamp, _ = _factor_operator(b, form_degree)
+    n = op.shape[0]
+    return op, clamp, spla.eigsh(op.tocsc(), k=min(n - 2, nev), sigma=shift, which="LM",
+                                 v0=np.full(n, 1.0 / np.sqrt(n)), return_eigenvectors=vectors)
 
 
 def factor_spectra_splu_oracle(problem, k=None):
@@ -492,3 +493,57 @@ def agmon_distance_dijkstra(f_triple, T, from_set, n_nodes=2048):
     dist = scipy.sparse.csgraph.dijkstra(graph + graph.T, directed=False,
                                          indices=np.asarray(from_set, dtype=int))
     return s, dist.min(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# the two Hermite builders and the LIL circle assembly that
+# torsionlab.birthdeath._hermite and torsionlab.witten1d.assemble replaced
+# ---------------------------------------------------------------------------
+
+def hermite5_oracle(x0, x1, v0, d0, dd0, v1, d1, dd1):
+    """Quintic on [x0, x1] matching value/slope/curvature at both ends,
+    returned as monomial coefficients in (s - x0)."""
+    h = x1 - x0
+    a = np.zeros((6, 6))
+    b = np.array([v0, d0, dd0, v1, d1, dd1], dtype=float)
+    a[0, 0] = 1.0
+    a[1, 1] = 1.0
+    a[2, 2] = 2.0
+    for p in range(6):
+        a[3, p] = h**p
+        a[4, p] = p * h ** (p - 1) if p >= 1 else 0.0
+        a[5, p] = p * (p - 1) * h ** (p - 2) if p >= 2 else 0.0
+    return np.linalg.solve(a, b)
+
+
+def hermite3_integrated_oracle(x0, x1, q0, dp0, ddp0, dp1, ddp1):
+    """Quartic whose derivative is the cubic Hermite on [x0, x1] with
+    derivative values dp0 -> dp1 and curvature values ddp0 -> ddp1;
+    the constant term is q0. Monomial coefficients in (s - x0)."""
+    h = x1 - x0
+    a = np.zeros((4, 4))
+    b = np.array([dp0, ddp0, dp1, ddp1], dtype=float)
+    a[0, 0] = 1.0
+    a[1, 1] = 1.0
+    for p in range(4):
+        a[2, p] = h**p
+        a[3, p] = p * h ** (p - 1) if p >= 1 else 0.0
+    c = np.linalg.solve(a, b)  # cubic coefficients of the derivative
+    out = np.zeros(5)
+    out[0] = q0
+    out[1:] = c / np.arange(1, 5)
+    return out
+
+
+def assemble_circle_lil_oracle(problem):
+    """witten1d.assemble on a circle: the tridiagonal part by sp.diags into
+    LIL, the two periodic corners patched in entry by entry, then CSR."""
+    h, n = problem.h, problem.n_nodes
+    sign = -1.0 if problem.form_degree == 0 else 1.0
+    v = (problem.T * problem.fp) ** 2 + sign * problem.T * problem.fpp
+    main = np.full(n, 2.0 / h**2) + v
+    mat = sp.diags([main, np.full(n - 1, -1.0 / h**2), np.full(n - 1, -1.0 / h**2)],
+                   [0, 1, -1], format="lil")
+    mat[0, n - 1] = -1.0 / h**2
+    mat[n - 1, 0] = -1.0 / h**2
+    return mat.tocsr()
