@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import sys
 import time
-import warnings
 
 import numpy as np
 
@@ -61,9 +60,7 @@ def criterion_1_birth_death_census():
     for y, want in ((0.0, 7), (0.5 * d * d, 8), (-0.5 * d * d, 6)):
         p = B.ModelParams(y=y, A=1000.0, **BD_PARAMS)
         prof = B.build_profiles(p, verify=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            census = B.find_critical_points(p, prof)
+        census = B.find_critical_points(p, prof)
         censuses[y] = (p, census)
         ok &= len(census) == want
         details.append(f"y={y:+.1e}: {len(census)}/{want}")
@@ -96,10 +93,8 @@ def criterion_2_separation_stability():
 
     p1 = B.ModelParams(y=0.0, A=1000.0, **BD_PARAMS)
     p2 = B.ModelParams(y=0.0, A=2000.0, **BD_PARAMS)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        c1 = B.find_critical_points(p1, B.build_profiles(p1, verify=False))
-        c2 = B.find_critical_points(p2, B.build_profiles(p2, verify=False))
+    c1 = B.find_critical_points(p1, B.build_profiles(p1, verify=False))
+    c2 = B.find_critical_points(p2, B.build_profiles(p2, verify=False))
     rep = B.separation_report(c1, c2, p1)
     ok = all(rep[k][2] for k in ("c", "c_prime", "C"))
     det = ", ".join(

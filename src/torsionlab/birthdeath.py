@@ -638,25 +638,21 @@ def _newton_seeds(p: ModelParams, n_random):
         3.0 * p.r2,
     ]
     seeds = []
-    shell_ids = []
-    for si, rho in enumerate(shells):
+    for rho in shells:
         if rho == 0.0:
             seeds.append(np.zeros(p.n + 1))
-            shell_ids.append(si)
             continue
         for phi in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False):
             u = np.zeros(p.n + 1)
             u[0] = rho * np.cos(phi)
             u[1] = rho * np.sin(phi)
             seeds.append(u)
-            shell_ids.append(si)
     rng = np.random.default_rng(NEWTON_SEED)
     rand = rng.normal(size=(n_random, p.n + 1))
     rand /= np.linalg.norm(rand, axis=1)[:, None]
     rand *= (3.5 * p.r2 * rng.random(n_random) ** (1.0 / (p.n + 1)))[:, None]
     seeds.extend(rand)
-    shell_ids.extend([-1] * n_random)
-    return np.array(seeds), np.array(shell_ids)
+    return np.array(seeds)
 
 
 def _damped_steps(hesss, grads, lam):
@@ -680,6 +676,12 @@ def _damped_steps(hesss, grads, lam):
     return steps
 
 
+def _census_count(p: ModelParams):
+    """Critical points of the large-A unfolding: 7 at y = 0, 8 for y > 0
+    (the birth-death pair born) and 6 for y < 0 (the pair cancelled)."""
+    return 7 if p.y == 0.0 else 8 if p.y > 0.0 else 6
+
+
 def find_critical_points(p: ModelParams, prof: ShapingProfiles, n_random=1000):
     """Deterministic multistart Newton census, deduplicated and classified.
 
@@ -688,10 +690,10 @@ def find_critical_points(p: ModelParams, prof: ShapingProfiles, n_random=1000):
     steps on the gradient; points are kept when the residual reaches
     1e-11 (1 + A), deduplicated at distance 1e-6, and dropped when one
     more damped Newton step would still move them by more than 1e-7.
+    Warns once, naming both counts, when it finds other than the
+    unfolding's `_census_count`; the points found are still returned.
     """
-    if p.A < 100:
-        warnings.warn("census is only reliable for large deformation A (>= 100)")
-    seeds, shell_ids = _newton_seeds(p, n_random)
+    seeds = _newton_seeds(p, n_random)
     us = seeds.copy()
     tol = 1e-11 * (1.0 + p.A)
     alive = np.ones(len(us), dtype=bool)
@@ -722,10 +724,6 @@ def find_critical_points(p: ModelParams, prof: ShapingProfiles, n_random=1000):
     ok = gnorm <= tol
     found = us[ok]
     found_res = gnorm[ok]
-    for si in range(7):
-        in_shell = shell_ids == si
-        if in_shell.any() and not ok[in_shell].any():
-            warnings.warn(f"incomplete census: no convergence from shell {si}")
 
     # dedup at distance 1e-6, keeping the smallest-residual representative
     reps = []
@@ -757,6 +755,9 @@ def find_critical_points(p: ModelParams, prof: ShapingProfiles, n_random=1000):
             )
         )
     pts.sort(key=lambda c: c.value)
+    want = _census_count(p)
+    if len(pts) != want:
+        warnings.warn(f"census found {len(pts)} critical points, the unfolding has {want}")
     return pts
 
 
@@ -1032,12 +1033,13 @@ def smallest_stable_amplitude(p: ModelParams, lo=100.0, hi=2000.0, steps=8,
     """
 
     def counts_ok(A):
-        for y, want in ((0.0, 7), (0.5 * p.delta**2, 8), (-0.5 * p.delta**2, 6)):
+        for y in (0.0, 0.5 * p.delta**2, -0.5 * p.delta**2):
             pp = ModelParams(p.n, p.i, p.r1, p.r2, p.delta, y, A)
             prof = build_profiles(pp, verify=False)
             with warnings.catch_warnings():
+                # below the threshold the census is expected to fall short
                 warnings.simplefilter("ignore")
-                if len(find_critical_points(pp, prof, n_random=n_random)) != want:
+                if len(find_critical_points(pp, prof, n_random=n_random)) != _census_count(pp):
                     return False
         return True
 

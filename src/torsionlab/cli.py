@@ -102,11 +102,7 @@ def run_birth_death(p):
     params = B.ModelParams(n=p["n"], i=p["i"], r1=p["r1"], r2=p["r2"],
                            delta=p["delta"], y=p["y"], A=p["A"])
     prof = B.build_profiles(params, verify=False)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        census = B.find_critical_points(params, prof)
+    census = B.find_critical_points(params, prof)
     rows = []
     for c in census:
         rows.append(

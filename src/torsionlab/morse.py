@@ -20,11 +20,11 @@ import numpy as np
 import scipy.integrate
 import scipy.optimize
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import mpmath
 
 from .graded import GradedComplex, _owned, cohomology_dims, euler_chars, finite_torsion
+from .witten1d import _shift_invert
 
 __all__ = [
     "ManifoldModel",
@@ -519,10 +519,7 @@ def _twisted_circle_discrete_eigs(theta, n_grid, k):
     off_dn[0] *= np.exp(-1j * theta)
     data = np.concatenate([np.full(n_grid, 2.0 / h**2, dtype=complex), off_up, off_dn])
     mat = sp.coo_matrix((data, (rows, cols)), shape=(n_grid, n_grid)).tocsc()
-    v0 = np.full(n_grid, 1.0 / np.sqrt(n_grid))
-    w = spla.eigsh(mat, k=k, sigma=-1e-6, which="LM", v0=v0,
-                   return_eigenvectors=False)
-    return np.sort(w.real)
+    return _shift_invert(mat, k, -1e-6, None, False)
 
 
 def cheeger_muller_compare(theta, n_grid=2000):

@@ -249,9 +249,7 @@ def test_census_counts_other_y():
     for y, want in ((0.5 * DELTA**2, 8), (-0.5 * DELTA**2, 6)):
         p = B.ModelParams(y=y, A=1000.0, **PARAMS)
         prof = B.build_profiles(p, verify=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            census = B.find_critical_points(p, prof)
+        census = B.find_critical_points(p, prof)
         assert len(census) == want
 
 
@@ -573,9 +571,7 @@ def test_census_matches_oracle_route(monkeypatch, y, A):
     prof = B.build_profiles(p, verify=False)
 
     def run():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return B.find_critical_points(p, prof, n_random=200), B.radial_derivative_check(p, prof)
+        return B.find_critical_points(p, prof, n_random=200), B.radial_derivative_check(p, prof)
 
     new, new_radial = run()
     with monkeypatch.context() as m:
@@ -701,9 +697,7 @@ def test_census_grid():
         for y, want in ((0.0, 7), (0.5 * d * d, 8), (-0.5 * d * d, 6)):
             p = B.ModelParams(n=6, i=3, r1=r1, r2=r2, delta=d, y=y, A=1000.0)
             prof = B.build_profiles(p, verify=False)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                census = B.find_critical_points(p, prof, n_random=200)
+            census = B.find_critical_points(p, prof, n_random=200)
             assert len(census) == want, (r1, r2, d, y, len(census))
 
 
@@ -717,12 +711,36 @@ def test_census_counts_birth_death_point_once():
     for A in amplitudes:
         p = B.ModelParams(y=0.0, A=A, **PARAMS)
         prof = B.build_profiles(p, verify=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            census = B.find_critical_points(p, prof, n_random=200)
+        census = B.find_critical_points(p, prof, n_random=200)
         bd_pts = [c for c in census if c.birth_death]
         assert len(census) == 7, (A, len(census))
         assert len(bd_pts) == 1 and bd_pts[0].morse_index == p.i, A
+
+
+@pytest.mark.parametrize("A", [1000.0, 1400.0, 2000.0])
+@pytest.mark.parametrize("y, want", [(0.0, 7), (0.5 * DELTA**2, 8), (-0.5 * DELTA**2, 6)])
+def test_complete_census_does_not_warn(y, want, A):
+    # for y < 0 the inner shells hold no critical point by design
+    p = B.ModelParams(y=y, A=A, **PARAMS)
+    prof = B.build_profiles(p, verify=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        census = B.find_critical_points(p, prof, n_random=200)
+    assert len(census) == want
+
+
+def test_census_miss_warns_with_both_counts(monkeypatch):
+    p = B.ModelParams(y=0.0, A=1000.0, **PARAMS)
+    prof = B.build_profiles(p, verify=False)
+    seeds = B._newton_seeds
+    # keep only the first seed, the origin: the census finds 1 of 7 points
+    monkeypatch.setattr(B, "_newton_seeds", lambda p, n_random: seeds(p, n_random)[:1])
+    assert not B._newton_seeds(p, 200).any()
+    with pytest.warns(UserWarning, match="found 1 critical points, the unfolding has 7") as rec:
+        census = B.find_critical_points(p, prof, n_random=200)
+    assert len(rec) == 1
+    assert len(census) == 1 and census[0].birth_death
+    assert np.linalg.norm(census[0].location) == 0.0
 
 
 def test_census_records_roundtrip(setup):
