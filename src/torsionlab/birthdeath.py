@@ -67,6 +67,8 @@ class ModelParams:
     A: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite([self.r1, self.r2, self.delta, self.y, self.A]).all():
+            raise ValueError("model parameters must be finite")
         if not (isinstance(self.n, int) and self.n >= 3):
             raise ValueError("need integer ambient parameter n >= 3")
         if not (2 <= self.i <= self.n - 1):
@@ -682,6 +684,12 @@ def _census_count(p: ModelParams):
     return 7 if p.y == 0.0 else 8 if p.y > 0.0 else 6
 
 
+def _cubic_ball(p: ModelParams, prof: ShapingProfiles, tol):
+    """Radius within which find_critical_points retires a seed: the first
+    interior knot of the profiles for y = 0 and -y > tol, else 0."""
+    return prof._merged[0][0] if p.y == 0.0 or -p.y > tol else 0.0
+
+
 def find_critical_points(p: ModelParams, prof: ShapingProfiles, n_random=1000):
     """Deterministic multistart Newton census, deduplicated and classified.
 
@@ -692,6 +700,18 @@ def find_critical_points(p: ModelParams, prof: ShapingProfiles, n_random=1000):
     more damped Newton step would still move them by more than 1e-7.
     Warns once, naming both counts, when it finds other than the
     unfolding's `_census_count`; the points found are still returned.
+
+    A seed is retired where its iterate enters the ball |u| < rho0, for
+    y = 0 and for -y > tol, and keeps that position for the residual test.
+    rho0 is the first interior knot of the profiles (r1/6): inside it
+    eta = eta_tilde = 0 and q is constant, so f is the cubic
+    u0^3 - y u0 - |u^-|^2 + |u^+|^2 + const. For -y > tol, |df/du0| >= -y
+    > tol there, so a retired seed fails the residual test. At y = 0 the
+    only critical point in the ball is the origin, a seed with residual 0
+    and, by the stable sort, the first representative: a retired seed fails
+    the residual test, falls in the origin's dedup ball, or is dropped by
+    its next step (about u0 / 2). For y > 0 the birth-death pair lies in
+    the ball, and no seed is retired.
     """
     seeds = _newton_seeds(p, n_random)
     us = seeds.copy()
@@ -702,6 +722,7 @@ def find_critical_points(p: ModelParams, prof: ShapingProfiles, n_random=1000):
     # inside the dedup radius instead of stopping at a loose gradient norm
     lam = 1e-10 * (1.0 + p.A)
     cap = 0.5 * (p.r2 - p.r1) + 0.05 * p.r1
+    ball = _cubic_ball(p, prof, tol)
     for _ in range(80):
         rows = np.where(alive)[0]
         if rows.size == 0:
@@ -712,12 +733,13 @@ def find_critical_points(p: ModelParams, prof: ShapingProfiles, n_random=1000):
         big = ln > cap
         steps[big] *= (cap / ln[big])[:, None]
         new = us[rows] - steps
-        runaway = np.linalg.norm(new, axis=1) > 10.0
+        radius = np.linalg.norm(new, axis=1)
+        runaway = radius > 10.0
         new[runaway] = us[rows][runaway]
         alive[rows[runaway]] = False
         us[rows] = new
         frozen = ln < 1e-15
-        alive[rows[frozen & ~runaway]] = False
+        alive[rows[(frozen & ~runaway) | (radius < ball)]] = False
 
     _, grads, _ = _model(p, prof, us, with_hess=False)
     gnorm = np.linalg.norm(grads, axis=1)
@@ -726,8 +748,9 @@ def find_critical_points(p: ModelParams, prof: ShapingProfiles, n_random=1000):
     found_res = gnorm[ok]
 
     # dedup at distance 1e-6, keeping the smallest-residual representative
+    # (on equal residuals, the first seed)
     reps = []
-    for k in np.argsort(found_res):
+    for k in np.argsort(found_res, kind="stable"):
         if all(np.linalg.norm(found[k] - found[j]) > 1e-6 for j in reps):
             reps.append(k)
     locs, res = found[reps], found_res[reps]

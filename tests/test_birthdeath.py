@@ -743,6 +743,94 @@ def test_census_miss_warns_with_both_counts(monkeypatch):
     assert np.linalg.norm(census[0].location) == 0.0
 
 
+def _census_bits(p, prof, n_random):
+    """Every field of the census, as bytes, and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        census = B.find_critical_points(p, prof, n_random=n_random)
+    return ([(c.location.tobytes(), c.hessian_spectrum.tobytes(), c.morse_index,
+              c.birth_death, np.array([c.value, c.newton_residual]).tobytes())
+             for c in census], [str(w.message) for w in rec])
+
+
+def _retire_nothing(m):
+    m.setattr(B, "_cubic_ball", lambda p, prof, tol: 0.0)
+
+
+@pytest.mark.parametrize("n_random", [200, 1000])
+@pytest.mark.parametrize("geom", [PARAMS, dict(n=4, i=2, r1=0.03, r2=0.05, delta=0.001)],
+                         ids=["default", "small"])
+def test_retired_seeds_change_no_census(monkeypatch, geom, n_random):
+    # oracle: every seed iterated to the end. A seed retired in the cubic
+    # ball never leaves it later to converge elsewhere; A = 0 and 10 give
+    # incomplete censuses, with the same warning on both routes
+    d = geom["delta"]
+    counts = []
+    for y in (0.0, 0.5 * d * d, -0.5 * d * d, 0.9 * d * d, -0.9 * d * d):
+        for A in (0.0, 10.0, 100.0, 1000.0, 2000.0):
+            p = B.ModelParams(y=y, A=A, **geom)
+            prof = B.build_profiles(p, verify=False)
+            new = _census_bits(p, prof, n_random)
+            with monkeypatch.context() as m:
+                _retire_nothing(m)
+                old = _census_bits(p, prof, n_random)
+            assert new == old, (y, A)
+            counts.append(len(new[0]))
+    assert counts.count(0) < 4 and sum(counts) > 100
+
+
+def _newton_rows(m, p, prof):
+    """Rows of the Hessian-bearing `_model` calls of one census."""
+    rows = []
+    model = B._model
+
+    def spy(p_, prof_, us, with_hess=True):
+        if with_hess:
+            rows.append(len(us))
+        return model(p_, prof_, us, with_hess)
+
+    m.setattr(B, "_model", spy)
+    B.find_critical_points(p, prof, n_random=200)
+    return sum(rows)
+
+
+@pytest.mark.parametrize("y", [0.0, -0.5 * DELTA**2, 0.5 * DELTA**2])
+def test_retirement_cuts_newton_rows_for_y_not_positive(monkeypatch, y):
+    p = B.ModelParams(y=y, A=1000.0, **PARAMS)
+    prof = B.build_profiles(p, verify=False)
+    with monkeypatch.context() as m:
+        rows = _newton_rows(m, p, prof)
+    with monkeypatch.context() as m:
+        _retire_nothing(m)
+        full = _newton_rows(m, p, prof)
+    if y > 0.0:  # the birth-death pair lies in the ball: nothing is retired
+        assert rows == full
+    else:
+        assert rows <= 0.6 * full, (rows, full)
+
+
+@pytest.mark.parametrize("first", [1.0, -1.0])
+def test_dedup_keeps_the_first_of_equal_residuals(monkeypatch, first):
+    # seeds at +-2e-3, then +-1e-3, on the three |u^+|^2 axes: one Newton
+    # step takes each to +-c e_k with c ~ 5e-11 (1e-10 for the first 20),
+    # all within the dedup distance of one another. The last 20 tie at
+    # residual 2c bit for bit, and seed 20 represents them; numpy's default
+    # argsort leaves the order of ties unspecified (numpy 2.4 on x86-64
+    # puts seed 24 first)
+    p = B.ModelParams(y=0.0, A=1000.0, **PARAMS)
+    prof = B.build_profiles(p, verify=False)
+    seeds = np.zeros((40, p.n + 1))
+    for s in range(40):
+        t = s % 20
+        seeds[s, p.i + 1 + t % 3] = first * (-1.0) ** (t // 3) * (2e-3 if s < 20 else 1e-3)
+    monkeypatch.setattr(B, "_newton_seeds", lambda p, n_random: seeds)
+    with pytest.warns(UserWarning, match="found 1 critical points"):
+        census = B.find_critical_points(p, prof, n_random=0)
+    (loc,) = [c.location for c in census]
+    assert np.flatnonzero(loc).tolist() == [p.i + 1]
+    assert np.sign(loc[p.i + 1]) == first and 0.0 < abs(loc[p.i + 1]) < 1e-10
+
+
 def test_census_records_roundtrip(setup):
     p, prof, census = setup
     recs = B.census_records(census)

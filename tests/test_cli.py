@@ -168,6 +168,12 @@ def test_non_finite_input_exits_2(tmp_path, capsys):
     # a NaN holonomy is refused where the model is built, as a bad input
     assert run_cli(["run", "torsion", "--theta", "nan", "--output-dir", str(tmp_path)]) == 2
     assert "validation error: holonomy has non-finite entries" in capsys.readouterr().err
+    # a NaN amplitude fails every comparison of the census; inf is no amplitude
+    for value in ("nan", "inf"):
+        out = tmp_path / f"bd_{value}"
+        assert run_cli(["run", "birth-death", "--A", value, "--output-dir", str(out)]) == 2
+        assert "validation error: model parameters must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_numerical_failure_exits_3(tmp_path):

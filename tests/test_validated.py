@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from torsionlab import birthdeath as B
 from torsionlab import forms as F
 from torsionlab import graded as G
 from torsionlab import morse as M
@@ -125,6 +126,10 @@ NON_FINITE = {
     "ManifoldModel holonomy": (lambda: M.circle_model(rep=[[NAN]]), ValueError),
     "InterfaceProfile A": (lambda: W.build_p_profile(NAN, 0.12), ValueError),
     "InterfaceProfile r": (lambda: W.build_p_profile(4.0, NAN), ValueError),
+    "ModelParams A nan": (lambda: B.ModelParams(6, 3, 0.04, 0.06, 0.0015, A=NAN), ValueError),
+    "ModelParams A inf": (lambda: B.ModelParams(6, 3, 0.04, 0.06, 0.0015, A=INF), ValueError),
+    "ModelParams y": (lambda: B.ModelParams(6, 3, 0.04, 0.06, 0.0015, y=NAN), ValueError),
+    "ModelParams r1": (lambda: B.ModelParams(6, 3, NAN, 0.06, 0.0015), ValueError),
 }
 
 
